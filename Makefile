@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test bench bench-session bench-smoke bench-compare trend-smoke figures examples lint lint-fast clean telemetry-smoke monitor-smoke chaos-smoke health-smoke hotspots-smoke heal-smoke
+.PHONY: install test bench bench-session bench-smoke bench-compare trend-smoke figures examples lint lint-fast clean telemetry-smoke monitor-smoke chaos-smoke health-smoke hotspots-smoke heal-smoke plant-smoke
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -143,6 +143,13 @@ hotspots-smoke:
 	$(PYTHON) -m tools.perfreport hotspots HOTSPOTS_smoke.json --folded hotspots-smoke.folded
 	test -s hotspots-smoke.folded
 	rm -f hotspots-smoke.folded
+
+# Plant-benchmark oracle for CI: the benchmark's own tests, then one
+# short fct-poisson run whose every op is checked against the recorded
+# reference (plantbench/reference.json); any wrong FCT exits non-zero.
+plant-smoke:
+	$(PYTHON) -m pytest plantbench -q
+	$(PYTHON) plantbench/run.py --workload fct-poisson --seed 0 --seconds 2 --trace 0
 
 figures:
 	$(PYTHON) -m repro.cli fig5

@@ -3,9 +3,10 @@
 The paper evaluates throughput with an optimal-routing LP; real networks
 run flows over concrete paths with congestion control approximating
 max-min fairness.  This module provides the classic progressive-filling
-algorithm: repeatedly find the most-constrained link, freeze the rates of
-the flows crossing it at their fair share, remove the link's residual
-capacity, and continue.
+algorithm, vectorized over the network's directed arcs: repeatedly find
+the minimal fair share over the loaded arcs, freeze the flows crossing
+every arc at that share, remove their rates from the residual
+capacities, and continue.
 
 It serves as a *routing-sensitive* second opinion next to the LP: the
 same workload evaluated over ECMP or KSP path choices yields a rate
@@ -20,6 +21,9 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
+from repro import obs
 from repro.errors import ReproError
 from repro.routing.base import Path
 from repro.topology.elements import Network, SwitchId
@@ -34,12 +38,21 @@ class RoutedFlow:
     ``flow_id`` identifies the flow; ``path`` may have zero hops (both
     endpoints on one switch), in which case the flow is unconstrained by
     the fabric and gets rate ``math.inf`` unless ``demand`` caps it.
-    ``demand`` is an optional rate ceiling (None = elastic flow).
+    ``demand`` is an optional rate ceiling, at least 0 (None = elastic
+    flow).
     """
 
     flow_id: int
     path: Path
     demand: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        # ``not >= 0`` also rejects NaN, which fails every comparison.
+        if self.demand is not None and not self.demand >= 0:
+            raise ReproError(
+                f"flow {self.flow_id} has invalid demand {self.demand!r}; "
+                f"a rate ceiling must be >= 0"
+            )
 
 
 @dataclass
@@ -61,10 +74,6 @@ class FairShareResult:
         return {f: r for f, r in self.rates.items() if math.isfinite(r)}
 
 
-def _directed_key(u: SwitchId, v: SwitchId) -> LinkKey:
-    return (u, v)
-
-
 def link_allocation(
     flows: List[RoutedFlow], rates: Dict[int, float]
 ) -> Tuple[Dict[LinkKey, float], Dict[LinkKey, int]]:
@@ -81,8 +90,7 @@ def link_allocation(
         rate = rates[flow.flow_id]
         if not math.isfinite(rate):
             continue
-        for u, v in flow.path.edges():
-            key = _directed_key(u, v)
+        for key in flow.path.edges():
             link_rates[key] = link_rates.get(key, 0.0) + rate
             link_flows[key] = link_flows.get(key, 0) + 1
     return link_rates, link_flows
@@ -97,98 +105,73 @@ def max_min_fair_rates(
     """Progressive filling over directed link capacities.
 
     Each fabric cable contributes its capacity independently per
-    direction (full-duplex, consistent with the MCF model).  Runs in
-    O(links x flows) in the worst case — fine for the tens of thousands
-    of flows the examples and benches use.
+    direction (full-duplex, consistent with the MCF model), indexed by
+    :meth:`Network.arc_index`.  A round costs O(arcs + flows x hops) in
+    numpy and freezes either every demand-capped flow at or below the
+    bottleneck share or every flow on every arc at that share, so the
+    round count is the number of distinct bottleneck levels.  Rates do
+    not depend on the order of ``flows``.
 
     ``monitor`` (a :class:`repro.monitor.NetworkMonitor`, or anything
     with ``on_allocation``) receives the per-directed-link rates and
     active-flow counts of this allocation, stamped at simulated time
     ``now``; ``None`` skips all monitoring work.
     """
-    capacity: Dict[LinkKey, float] = {}
-    for u, v, cap in net.edge_list():
-        if cap <= 0:
-            raise ReproError(
-                f"link {u!r} - {v!r} has non-positive capacity {cap}; "
-                f"flows crossing it could never be allocated a rate"
-            )
-        capacity[_directed_key(u, v)] = cap
-        capacity[_directed_key(v, u)] = cap
-
-    flows_on: Dict[LinkKey, List[RoutedFlow]] = {}
-    for flow in flows:
-        flow.path.validate_on(net)
-        for u, v in flow.path.edges():
-            flows_on.setdefault(_directed_key(u, v), []).append(flow)
-
-    rates: Dict[int, float] = {}
-    active: Dict[int, RoutedFlow] = {f.flow_id: f for f in flows}
-    if len(active) != len(flows):
+    index, caps = net.arc_index()
+    bad = np.flatnonzero(~(caps > 0))  # NaN counts as bad too
+    if bad.size:
+        u, v = list(index)[bad[0]]
+        raise ReproError(
+            f"link {u!r} - {v!r} has non-positive capacity {caps[bad[0]]}; "
+            f"flows crossing it could never be allocated a rate"
+        )
+    ordered = sorted(flows, key=lambda f: f.flow_id)
+    arcs: List[int] = []
+    for flow in ordered:
+        nodes = flow.path.nodes
+        try:
+            arcs.extend(map(index.__getitem__, zip(nodes, nodes[1:])))
+        except KeyError:
+            flow.path.validate_on(net)
+            raise
+    ids = [f.flow_id for f in ordered]
+    if len(set(ids)) != len(ids):
         raise ReproError("flow ids must be unique")
-    remaining = dict(capacity)
-    active_count: Dict[LinkKey, int] = {
-        link: len(fs) for link, fs in flows_on.items()
-    }
 
-    # Zero-hop flows (endpoints on one switch) never cross the fabric;
-    # freeze them immediately or they would keep the loop alive forever.
-    for flow in list(active.values()):
-        if flow.path.hops == 0:
-            rate = flow.demand if flow.demand is not None else math.inf
-            _freeze(flow, rate, rates, active, remaining, active_count)
-
-    # Demand-capped flows that the fabric never saturates finish at their
-    # demand; handle them inside the loop via the fair-share comparison.
-    while active:
-        # Most-constrained link: minimal fair share among loaded links.
-        best_link = None
-        best_share = math.inf
-        for link, count in active_count.items():
-            if count <= 0:
-                continue
-            share = remaining[link] / count
-            if share < best_share:
-                best_share = share
-                best_link = link
-        # Demand ceilings below the bottleneck share freeze first.
-        capped = [
-            f for f in active.values()
-            if f.demand is not None and f.demand <= best_share
-        ]
-        if capped:
-            for flow in capped:
-                _freeze(flow, flow.demand, rates, active, remaining,
-                        active_count)
-            continue
-        if best_link is None:
-            # Remaining flows cross no loaded link: unconstrained.
-            for flow in list(active.values()):
-                rate = flow.demand if flow.demand is not None else math.inf
-                _freeze(flow, rate, rates, active, remaining, active_count)
-            break
-        for flow in list(flows_on.get(best_link, [])):
-            if flow.flow_id in active:
-                _freeze(flow, best_share, rates, active, remaining,
-                        active_count)
+    # Flat (flow, arc) incidence; frozen flows' entries are dropped.
+    hops = [len(f.path.nodes) - 1 for f in ordered]
+    flow_of = np.repeat(np.arange(len(ids)), hops)
+    arc_of = np.array(arcs, dtype=np.intp)
+    # Zero-hop flows never cross the fabric and keep demand (or inf);
+    # ``ceiling`` is the demand of each unfrozen fabric flow, else inf.
+    rate = np.array([math.inf if f.demand is None else f.demand
+                     for f in ordered], dtype=float)
+    ceiling = np.where(np.array(hops) > 0, rate, math.inf)
+    count = np.bincount(arc_of, minlength=caps.size).astype(float)
+    # Unloaded arcs hold inf, so their share is inf and never binds.
+    remaining = np.where(count > 0, caps, math.inf)
+    rounds = 0
+    while flow_of.size:
+        rounds += 1
+        share = remaining / count
+        best = share.min()
+        if math.isinf(best):
+            break  # no loaded arc binds: live flows keep demand or inf
+        # Demand ceilings at or below the bottleneck share freeze first.
+        frozen = ceiling <= best
+        if not frozen.any():
+            frozen[flow_of[share[arc_of] == best]] = True
+            rate[frozen] = best
+        ceiling[frozen] = math.inf
+        hit = frozen[flow_of]
+        dead = arc_of[hit]
+        np.subtract.at(remaining, dead, rate[flow_of[hit]])
+        np.maximum(remaining, 0.0, out=remaining)
+        count -= np.bincount(dead, minlength=caps.size)
+        remaining[count == 0] = math.inf
+        flow_of, arc_of = flow_of[~hit], arc_of[~hit]
+    obs.incr("flowsim.fairshare_rounds", rounds)
+    rates = dict(zip(ids, rate.tolist()))
     if monitor is not None:
         monitor.on_allocation(now, *link_allocation(flows, rates))
     return FairShareResult(rates=rates)
-
-
-def _freeze(
-    flow: RoutedFlow,
-    rate: float,
-    rates: Dict[int, float],
-    active: Dict[int, "RoutedFlow"],
-    remaining: Dict[LinkKey, float],
-    active_count: Dict[LinkKey, int],
-) -> None:
-    rates[flow.flow_id] = rate
-    del active[flow.flow_id]
-    if not math.isfinite(rate):
-        return
-    for u, v in flow.path.edges():
-        key = _directed_key(u, v)
-        remaining[key] = max(0.0, remaining[key] - rate)
-        active_count[key] -= 1

@@ -19,9 +19,12 @@ though both are 2-field tuples at heart.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple, Union
+from typing import (
+    Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union,
+)
 
 import networkx as nx
+import numpy as np
 
 from repro.errors import PortBudgetError, TopologyError
 
@@ -60,6 +63,10 @@ SwitchId = Union[CoreSwitch, AggSwitch, EdgeSwitch, PlainSwitch]
 ServerId = int
 
 
+#: ``({(u, v): arc id}, per-arc capacity)``, see :meth:`Network.arc_index`.
+ArcIndex = Tuple[Dict[Tuple[SwitchId, SwitchId], int], np.ndarray]
+
+
 def switch_kind(node: SwitchId) -> str:
     """Return the layer/kind discriminant of a switch node."""
     return node.kind
@@ -92,6 +99,7 @@ class Network:
         self._ports_used: Dict[SwitchId, int] = {}
         self._server_loc: Dict[ServerId, SwitchId] = {}
         self._servers_on: Dict[SwitchId, List[ServerId]] = {}
+        self._arcs: Optional[ArcIndex] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -125,6 +133,7 @@ class Network:
             raise TopologyError(f"self-loop cable on {u!r}")
         self._consume_port(u)
         self._consume_port(v)
+        self._arcs = None
         if self._fabric.has_edge(u, v):
             data = self._fabric[u][v]
             data["capacity"] += capacity
@@ -136,6 +145,7 @@ class Network:
         """Remove one physical cable between ``u`` and ``v``, freeing ports."""
         if not self._fabric.has_edge(u, v):
             raise TopologyError(f"no cable between {u!r} and {v!r}")
+        self._arcs = None
         data = self._fabric[u][v]
         data["mult"] -= 1
         data["capacity"] -= capacity
@@ -271,6 +281,28 @@ class Network:
         return [
             (u, v, d["capacity"]) for u, v, d in self._fabric.edges(data=True)
         ]
+
+    def arc_index(self) -> ArcIndex:
+        """Directed arcs of the fabric: ``({(u, v): arc}, caps)``.
+
+        Every cable bundle yields two arcs, ``2i`` for ``(u, v)`` and
+        ``2i + 1`` for ``(v, u)``, in :meth:`edge_list` order; ``caps``
+        holds each arc's capacity (full-duplex: both directions carry
+        the bundle's capacity).  Memoized; :meth:`add_cable` and
+        :meth:`remove_cable` reset it.  Both parts are shared: do not
+        mutate them (``caps`` is a read-only array).
+        """
+        if self._arcs is None:
+            index: Dict[Tuple[SwitchId, SwitchId], int] = {}
+            caps: List[float] = []
+            for u, v, cap in self.edge_list():
+                index[(u, v)] = len(index)
+                index[(v, u)] = len(index)
+                caps += (cap, cap)
+            array = np.array(caps, dtype=float)
+            array.flags.writeable = False
+            self._arcs = (index, array)
+        return self._arcs
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -1,0 +1,34 @@
+"""fig7 and fig8 print the same table under every PYTHONHASHSEED.
+
+Each run is a fresh interpreter, so str hashing differs between the two;
+a seed derived from ``hash()`` would change the cluster placement and
+with it the table.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..",
+                                   "src"))
+
+
+def run_figure(figure: str, hash_seed: str) -> bytes:
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-m", "repro.cli", figure, "--ks", "4"],
+        capture_output=True, env=env, timeout=600, check=False,
+    )
+    assert result.returncode == 0, result.stderr.decode()
+    return result.stdout
+
+
+@pytest.mark.parametrize("figure", ["fig7", "fig8"])
+def test_table_independent_of_hash_seed(figure):
+    assert run_figure(figure, "0") == run_figure(figure, "1")

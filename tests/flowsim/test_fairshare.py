@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import ReproError
+from repro.errors import ReproError, RoutingError
 from repro.flowsim.fairshare import (
     RoutedFlow,
     link_allocation,
@@ -121,6 +121,48 @@ class TestEdgeCases:
         net.add_cable(PlainSwitch(0), PlainSwitch(2), capacity=0.0)
         with pytest.raises(ReproError, match="non-positive capacity"):
             max_min_fair_rates(net, [RoutedFlow(1, p(0, 1))])
+
+    def test_zero_capacity_link_rejected_after_cache_reset(self):
+        """The arc index is rebuilt, so a later bad cable still raises."""
+        net = line()
+        max_min_fair_rates(net, [RoutedFlow(1, p(0, 1))])
+        net.add_cable(PlainSwitch(0), PlainSwitch(2), capacity=-1.0)
+        with pytest.raises(
+            ReproError,
+            match=r"link PlainSwitch\(index=0, kind='switch'\) - "
+                  r"PlainSwitch\(index=2, kind='switch'\) has "
+                  r"non-positive capacity -1\.0; flows crossing it",
+        ):
+            max_min_fair_rates(net, [RoutedFlow(1, p(0, 1))])
+
+    def test_path_over_missing_link_rejected(self):
+        net = line()
+        with pytest.raises(RoutingError,
+                           match="path uses non-existent link"):
+            max_min_fair_rates(net, [RoutedFlow(1, p(0, 2))])
+
+    def test_path_over_removed_link_rejected(self):
+        net = line()
+        max_min_fair_rates(net, [RoutedFlow(1, p(0, 1, 2))])
+        net.remove_cable(PlainSwitch(1), PlainSwitch(2))
+        with pytest.raises(RoutingError, match=(
+            r"path uses non-existent link PlainSwitch\(index=1, "
+            r"kind='switch'\) - PlainSwitch\(index=2, kind='switch'\)"
+        )):
+            max_min_fair_rates(net, [RoutedFlow(1, p(0, 1, 2))])
+
+    @pytest.mark.parametrize("demand", [-0.5, -1e-12, math.nan])
+    def test_negative_or_nan_demand_rejected(self, demand):
+        """A negative cap would manufacture capacity for other flows."""
+        with pytest.raises(ReproError, match="invalid demand"):
+            RoutedFlow(1, p(0, 1), demand=demand)
+
+    def test_zero_demand_allowed(self):
+        net = line()
+        rates = max_min_fair_rates(
+            net, [RoutedFlow(1, p(0, 1), demand=0.0), RoutedFlow(2, p(0, 1))]
+        ).rates
+        assert rates == {1: 0.0, 2: 1.0}
 
     def test_single_flow_bounded_rates(self):
         net = line()

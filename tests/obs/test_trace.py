@@ -277,6 +277,7 @@ class TestInstrumentedPaths:
         assert snap["flowsim.flows_completed"]["value"] == 2
         assert snap["flowsim.events"]["value"] >= 2
         assert snap["flowsim.fairshare_recomputes"]["value"] >= 1
+        assert snap["flowsim.fairshare_rounds"]["value"] >= 1
 
 
 class TestActiveSpanPath:

@@ -197,6 +197,50 @@ class TestDerived:
         assert net.edge_list() == [(a, b, 1.0)]
 
 
+class TestArcIndex:
+    def test_both_directions_in_edge_list_order(self):
+        net, a, b = make_pair()
+        net.add_cable(a, b, capacity=2.0)
+        index, caps = net.arc_index()
+        assert index == {(a, b): 0, (b, a): 1}
+        assert caps.tolist() == [2.0, 2.0]
+
+    def test_memoized_until_mutation(self):
+        net, a, b = make_pair()
+        net.add_cable(a, b)
+        first = net.arc_index()
+        assert net.arc_index() is first
+
+    def test_rebuilt_after_add_cable(self):
+        net, a, b = make_pair()
+        net.add_cable(a, b)
+        net.arc_index()
+        net.add_cable(a, b)
+        assert net.arc_index()[1].tolist() == [2.0, 2.0]
+
+    def test_rebuilt_after_remove_cable(self):
+        net, a, b = make_pair()
+        c = PlainSwitch(2)
+        net.add_switch(c, 4)
+        net.add_cable(a, b)
+        net.add_cable(b, c)
+        net.arc_index()
+        net.remove_cable(a, b)
+        index, caps = net.arc_index()
+        assert index == {(b, c): 0, (c, b): 1}
+        assert caps.tolist() == [1.0, 1.0]
+
+    def test_copy_gets_its_own_index(self):
+        net, a, b = make_pair()
+        net.add_cable(a, b)
+        original = net.arc_index()
+        clone = net.copy()
+        assert clone.arc_index() is not original
+        clone.remove_cable(a, b)
+        assert clone.arc_index()[0] == {}
+        assert net.arc_index() is original
+
+
 class TestMergeParallel:
     def test_counts_unordered_pairs(self):
         a, b, c = PlainSwitch(0), PlainSwitch(1), CoreSwitch(2)
