@@ -145,11 +145,14 @@ hotspots-smoke:
 	rm -f hotspots-smoke.folded
 
 # Plant-benchmark oracle for CI: the benchmark's own tests, then one
-# short fct-poisson run whose every op is checked against the recorded
-# reference (plantbench/reference.json); any wrong FCT exits non-zero.
+# short run of each workload whose every op is checked against the
+# recorded reference (plantbench/reference.json): fct-poisson FCTs,
+# mcf-bracket exact λ, convert-route routes.  Any wrong op exits non-zero.
 plant-smoke:
 	$(PYTHON) -m pytest plantbench -q
 	$(PYTHON) plantbench/run.py --workload fct-poisson --seed 0 --seconds 2 --trace 0
+	$(PYTHON) plantbench/run.py --workload mcf-bracket --seed 0 --seconds 2 --trace 0
+	$(PYTHON) plantbench/run.py --workload convert-route --seed 0 --seconds 2 --trace 0
 
 figures:
 	$(PYTHON) -m repro.cli fig5

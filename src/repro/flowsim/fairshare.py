@@ -106,7 +106,7 @@ def max_min_fair_rates(
 
     Each fabric cable contributes its capacity independently per
     direction (full-duplex, consistent with the MCF model), indexed by
-    :meth:`Network.arc_index`.  A round costs O(arcs + flows x hops) in
+    :meth:`Network.arcs`.  A round costs O(arcs + flows x hops) in
     numpy and freezes either every demand-capped flow at or below the
     bottleneck share or every flow on every arc at that share, so the
     round count is the number of distinct bottleneck levels.  Rates do
@@ -117,7 +117,8 @@ def max_min_fair_rates(
     active-flow counts of this allocation, stamped at simulated time
     ``now``; ``None`` skips all monitoring work.
     """
-    index, caps = net.arc_index()
+    view = net.arcs()
+    index, caps = view.index, view.cap
     bad = np.flatnonzero(~(caps > 0))  # NaN counts as bad too
     if bad.size:
         u, v = list(index)[bad[0]]

@@ -14,9 +14,11 @@ weights FPTAS (Garg & Könemann 1998; Fleischer 2000):
 Rather than relying on the theoretical scaling constants, the solver
 returns a **certified feasible** throughput: the accumulated flow is
 scaled down by the worst arc overload, and λ is the minimum scaled
-rate over all commodities.  The guarantee λ ≥ (1 - ε)·OPT then holds
-with comfortable margin in practice (tests cross-check against the
-exact LP).
+rate over all commodities, so it never exceeds the optimum.  It does
+not reach the nominal (1 - ε)·OPT in practice.  At ε = 0.08, measured
+λ/OPT is about 0.72 at worst on the plant benchmark's k = 6
+mcf-bracket instances and 0.571 on a fig8 fat-tree k = 4 instance.
+The tests only check small random instances, against a 0.85-0.9 floor.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ import math
 from typing import List, Optional
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from repro import obs
 from repro.errors import SolverError
@@ -37,18 +41,21 @@ def solve_concurrent_approx(
     epsilon: float = 0.1,
     max_phases: Optional[int] = None,
 ) -> MCFResult:
-    """Approximate max concurrent flow within a (1 - ε) factor.
+    """Approximate max concurrent flow: a feasible λ at most the optimum.
 
-    ``max_phases`` optionally caps the phase count (the certified result
-    stays feasible, just possibly further from optimal).
+    ``epsilon`` is the Garg–Könemann step size (the module notes give
+    the measured gap to the optimum).  ``max_phases`` optionally caps
+    the phase count (the certified result stays feasible, just possibly
+    further from optimal).
     """
     if not 0 < epsilon < 1:
         raise SolverError(f"epsilon must be in (0, 1), got {epsilon}")
     if problem.num_groups == 0:
         raise SolverError("no demand groups to solve")
 
+    arcs = problem.arcs
     num_arcs = problem.num_arcs
-    cap = problem.arc_cap
+    cap = arcs.cap
     delta = (1 + epsilon) * ((1 + epsilon) * num_arcs) ** (-1.0 / epsilon)
     lengths = delta / cap
     flow = np.zeros(num_arcs)
@@ -56,7 +63,23 @@ def solve_concurrent_approx(
         np.zeros(len(g.sinks)) for g in problem.groups
     ]
 
-    graph = _AdjacencyView(problem)
+    # Dijkstra runs on the arcs' CSR layout; each query writes the current
+    # lengths into the matrix's data slots.  ``keys`` is (src, dst) of
+    # every slot, sorted, so a tree edge maps back to its arc.
+    n = problem.num_nodes
+    order = arcs.order
+    matrix = sp.csr_matrix((lengths[order], arcs.dst[order], arcs.indptr),
+                           shape=(n, n))
+    keys = arcs.src[order].astype(np.int64) * n + arcs.dst[order]
+    # Arcs come in antiparallel pairs, so a sink is reachable from its
+    # source exactly when both lie in one component.  Otherwise the
+    # concurrent throughput is 0.
+    _count, component = connected_components(matrix)
+    unreachable = any((component[g.sinks] != component[g.source]).any()
+                      for g in problem.groups)
+    if unreachable:
+        obs.incr("mcf.approx.unreachable_sinks")
+
     d_value = float((lengths * cap).sum())
     phases = 0
     trees = 0
@@ -64,10 +87,10 @@ def solve_concurrent_approx(
     # The phase budget is a theoretical worst case; d_value usually
     # crosses 1.0 far earlier, so the heartbeat ETA here is an upper
     # bound that only tightens (the clamp keeps it monotone).
-    progress = obs.ProgressTracker("mcf.approx", total=budget)
     with obs.span("mcf.approx", groups=problem.num_groups, arcs=num_arcs), \
-            obs.timer("mcf.approx.solve_s"):
-        while d_value < 1.0 and phases < budget:
+            obs.timer("mcf.approx.solve_s"), \
+            obs.ProgressTracker("mcf.approx", total=budget) as progress:
+        while not unreachable and d_value < 1.0 and phases < budget:
             for g_index, group in enumerate(problem.groups):
                 remaining = group.demands.astype(np.float64).copy()
                 # Route the whole group off shared shortest-path trees: one
@@ -78,18 +101,17 @@ def solve_concurrent_approx(
                 for _round in range(len(group.sinks) + 1):
                     if d_value >= 1.0 or not (remaining > 1e-12).any():
                         break
-                    tree = graph.shortest_path_tree(lengths, group.source)
+                    np.take(lengths, order, out=matrix.data)
+                    predecessors = dijkstra(
+                        matrix, indices=group.source,
+                        return_predecessors=True)[1]
                     trees += 1
                     bump_amount = np.zeros(num_arcs)
                     for sink_pos, sink in enumerate(group.sinks):
                         if remaining[sink_pos] <= 1e-12:
                             continue
-                        path_arcs = graph.tree_path(tree, int(sink))
-                        if path_arcs is None:
-                            # Unreachable sink: concurrent throughput is 0.
-                            obs.incr("mcf.approx.unreachable_sinks")
-                            return MCFResult(throughput=0.0,
-                                             method="approx-gk")
+                        path_arcs = _tree_path(order, keys, n, predecessors,
+                                               int(sink))
                         bottleneck = float(cap[path_arcs].min())
                         amount = min(float(remaining[sink_pos]), bottleneck)
                         flow[path_arcs] += amount
@@ -101,14 +123,26 @@ def solve_concurrent_approx(
                     lengths *= bump
             phases += 1
             progress.advance()
-        progress.finish()
 
     obs.incr("mcf.approx.solves")
     obs.incr("mcf.approx.phases", phases)
     obs.incr("mcf.approx.dijkstra_calls", trees)
-    result = _certify(problem, flow, routed)
+    if unreachable:
+        result = MCFResult(throughput=0.0, method="approx-gk")
+    else:
+        result = _certify(problem, flow, routed)
     obs.set_gauge("mcf.approx.last_objective", result.throughput)
     return result
+
+
+def _tree_path(order: np.ndarray, keys: np.ndarray, n: int,
+               predecessors: np.ndarray, sink: int) -> np.ndarray:
+    """Arc ids of the shortest-path tree's path to ``sink``, in order."""
+    nodes = [sink]
+    while predecessors[nodes[-1]] >= 0:
+        nodes.append(int(predecessors[nodes[-1]]))
+    ends = np.array(nodes[::-1], dtype=np.int64)
+    return order[np.searchsorted(keys, ends[:-1] * n + ends[1:])]
 
 
 def _phase_budget(epsilon: float, num_arcs: int) -> int:
@@ -121,7 +155,7 @@ def _certify(
 ) -> MCFResult:
     """Scale accumulated flow to feasibility and report the worst rate."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        overload = np.where(flow > 0, flow / problem.arc_cap, 0.0)
+        overload = np.where(flow > 0, flow / problem.arcs.cap, 0.0)
     worst = float(overload.max())
     scale = 1.0 if worst <= 1.0 else 1.0 / worst
     lam = math.inf
@@ -131,87 +165,3 @@ def _certify(
     if not math.isfinite(lam):
         raise SolverError("approximation produced no routed flow")
     return MCFResult(throughput=lam, method="approx-gk")
-
-
-class _AdjacencyView:
-    """A CSR adjacency whose weights alias the arc-length array.
-
-    The CSR structure is built once; each shortest-path query writes the
-    current lengths into the matrix's ``data`` slots (a permutation,
-    O(arcs)) and delegates to :func:`scipy.sparse.csgraph.dijkstra` —
-    the C implementation is an order of magnitude faster than a Python
-    heap loop, which dominates the FPTAS's runtime.
-
-    Antiparallel arc pairs are unique per (src, dst) because parallel
-    cables fold into single capacities upstream, so every arc owns
-    exactly one CSR cell.
-    """
-
-    def __init__(self, problem: FlowProblem) -> None:
-        import scipy.sparse as sp
-
-        self.num_nodes = problem.num_nodes
-        n = self.num_nodes
-        coo = sp.coo_matrix(
-            (
-                np.ones(problem.num_arcs),
-                (problem.arc_src, problem.arc_dst),
-            ),
-            shape=(n, n),
-        )
-        self._matrix = coo.tocsr()
-        # Map each arc to its CSR data slot.
-        lil_index = sp.csr_matrix(
-            (
-                np.arange(problem.num_arcs, dtype=np.int64),
-                (problem.arc_src, problem.arc_dst),
-            ),
-            shape=(n, n),
-        )
-        # tocsr on duplicate-free input preserves per-cell values; the
-        # data array of lil_index holds, per CSR slot, the arc index.
-        self._slot_to_arc = lil_index.data.astype(np.int64)
-        self._arc_to_slot = np.empty(problem.num_arcs, dtype=np.int64)
-        self._arc_to_slot[self._slot_to_arc] = np.arange(problem.num_arcs)
-        self._arc_dst = problem.arc_dst
-
-    def shortest_path_tree(
-        self, lengths: np.ndarray, source: int
-    ) -> tuple:
-        """One C Dijkstra: (distances, predecessors) from ``source``."""
-        from scipy.sparse.csgraph import dijkstra
-
-        self._matrix.data[self._arc_to_slot] = lengths
-        dist, predecessors = dijkstra(
-            self._matrix,
-            directed=True,
-            indices=source,
-            return_predecessors=True,
-        )
-        return dist, predecessors, source
-
-    def tree_path(self, tree: tuple, sink: int) -> Optional[np.ndarray]:
-        """Arc indices from the tree's source to ``sink`` (None if cut)."""
-        dist, predecessors, source = tree
-        if sink == source or not np.isfinite(dist[sink]):
-            return None
-        arcs: List[int] = []
-        node = sink
-        while node != source:
-            prev = int(predecessors[node])
-            if prev < 0:
-                return None
-            row_start = self._matrix.indptr[prev]
-            row_end = self._matrix.indptr[prev + 1]
-            cols = self._matrix.indices[row_start:row_end]
-            slot = row_start + int(np.searchsorted(cols, node))
-            arcs.append(int(self._slot_to_arc[slot]))
-            node = prev
-        arcs.reverse()
-        return np.asarray(arcs, dtype=np.int64)
-
-    def shortest_path_arcs(
-        self, lengths: np.ndarray, source: int, sink: int
-    ) -> Optional[np.ndarray]:
-        """Arc indices of a shortest source->sink path (None if cut off)."""
-        return self.tree_path(self.shortest_path_tree(lengths, source), sink)

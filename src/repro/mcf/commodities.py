@@ -22,13 +22,13 @@ traffic and achieves the identical ``λ``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
 from repro.errors import TrafficError
-from repro.topology.elements import Network, ServerId, SwitchId
+from repro.topology.elements import Arcs, Network, ServerId
 
 
 @dataclass(frozen=True)
@@ -61,23 +61,23 @@ class DemandGroup:
 
 @dataclass
 class FlowProblem:
-    """A directed, capacitated flow network with aggregated demands.
+    """Aggregated switch-level demands over a directed arc view.
 
-    Node ids are dense integers (see ``switch_of``/``index_of`` for the
-    mapping back to topology switches).  Arcs come in antiparallel pairs
-    (full-duplex cables).
+    Node ids are the dense indices of ``arcs`` (``arcs.switches[i]`` is
+    node ``i``, ``arcs.node`` maps back).  Arcs come in antiparallel
+    pairs (full-duplex cables).
     """
 
-    num_nodes: int
-    arc_src: np.ndarray
-    arc_dst: np.ndarray
-    arc_cap: np.ndarray
+    arcs: Arcs
     groups: List[DemandGroup]
-    index_of: Dict[SwitchId, int] = field(default_factory=dict)
+
+    @property
+    def num_nodes(self) -> int:
+        return len(self.arcs.switches)
 
     @property
     def num_arcs(self) -> int:
-        return int(self.arc_src.shape[0])
+        return int(self.arcs.src.shape[0])
 
     @property
     def num_groups(self) -> int:
@@ -90,6 +90,7 @@ class FlowProblem:
     def reversed(self) -> "FlowProblem":
         """The arc-reversed problem (models incast given broadcast).
 
+        Arc ``a`` keeps its id and capacity but runs the other way.
         Demands are reversed per-commodity: each (source -> sink, d)
         becomes (sink -> source, d), re-aggregated by the new sources.
         """
@@ -97,14 +98,11 @@ class FlowProblem:
         for g in self.groups:
             for sink, demand in zip(g.sinks, g.demands):
                 pairs.append((int(sink), g.source, float(demand)))
-        groups = _aggregate(pairs)
+        arcs = self.arcs
         return FlowProblem(
-            num_nodes=self.num_nodes,
-            arc_src=self.arc_dst.copy(),
-            arc_dst=self.arc_src.copy(),
-            arc_cap=self.arc_cap.copy(),
-            groups=groups,
-            index_of=dict(self.index_of),
+            arcs=Arcs(arcs.switches, [(v, u) for u, v in arcs.index],
+                      arcs.cap),
+            groups=_aggregate(pairs),
         )
 
 
@@ -117,11 +115,11 @@ def build_flow_problem(
     them unconstraining).  Raises :class:`TrafficError` if *every*
     commodity is dropped — a concurrent-flow value would be meaningless.
     """
-    index = net.switch_index()
+    arcs = net.arcs()
     pairs: List[Tuple[int, int, float]] = []
     for c in commodities:
-        src_sw = index[net.server_switch(c.src)]
-        dst_sw = index[net.server_switch(c.dst)]
+        src_sw = arcs.node[net.server_switch(c.src)]
+        dst_sw = arcs.node[net.server_switch(c.dst)]
         if src_sw == dst_sw:
             continue
         pairs.append((src_sw, dst_sw, c.demand))
@@ -129,22 +127,7 @@ def build_flow_problem(
         raise TrafficError(
             "all commodities are same-switch; concurrent flow is unbounded"
         )
-    srcs: List[int] = []
-    dsts: List[int] = []
-    caps: List[float] = []
-    for u, v, cap in net.edge_list():
-        ui, vi = index[u], index[v]
-        srcs.extend((ui, vi))
-        dsts.extend((vi, ui))
-        caps.extend((cap, cap))
-    return FlowProblem(
-        num_nodes=len(index),
-        arc_src=np.asarray(srcs, dtype=np.int32),
-        arc_dst=np.asarray(dsts, dtype=np.int32),
-        arc_cap=np.asarray(caps, dtype=np.float64),
-        groups=_aggregate(pairs),
-        index_of=index,
-    )
+    return FlowProblem(arcs=arcs, groups=_aggregate(pairs))
 
 
 def _aggregate(pairs: List[Tuple[int, int, float]]) -> List[DemandGroup]:

@@ -52,10 +52,6 @@ def decompose_group(
     }
     # The group's λ-scaled delivery: total outflow minus inflow at the
     # source tells how much each sink actually receives per unit demand.
-    out_arcs: Dict[int, List[int]] = {}
-    for arc in range(problem.num_arcs):
-        out_arcs.setdefault(int(problem.arc_src[arc]), []).append(arc)
-
     scale = _delivered_fraction(problem, group, residual)
     for sink in need:
         need[sink] *= scale
@@ -65,7 +61,7 @@ def decompose_group(
         sink_needs = {t for t, d in need.items() if d > _EPS}
         if not sink_needs:
             break
-        walk = _walk_to_sink(problem, out_arcs, residual, group.source,
+        walk = _walk_to_sink(problem.arcs, residual, group.source,
                              sink_needs)
         if walk is None:
             break
@@ -94,20 +90,20 @@ def _delivered_fraction(
     """Fraction of the group demand this flow actually delivers (λ)."""
     net_out = 0.0
     for arc in range(problem.num_arcs):
-        if int(problem.arc_src[arc]) == group.source:
+        if int(problem.arcs.src[arc]) == group.source:
             net_out += float(flow[arc])
-        if int(problem.arc_dst[arc]) == group.source:
+        if int(problem.arcs.dst[arc]) == group.source:
             net_out -= float(flow[arc])
     total = group.total_demand
     return max(0.0, net_out / total) if total > 0 else 0.0
 
 
-def _walk_to_sink(problem, out_arcs, residual, source, sinks):
+def _walk_to_sink(arcs, residual, source, sinks):
     """BFS along positive-residual arcs to the nearest needy sink.
 
     BFS (rather than a greedy walk) is robust to circulation in the LP
     solution: if any sink is reachable through positive flow, BFS finds
-    a simple path to it.
+    a simple path to it.  Out-arcs are scanned in arc-id order.
     """
     from collections import deque
 
@@ -121,10 +117,11 @@ def _walk_to_sink(problem, out_arcs, residual, source, sinks):
         if here in sinks and here != source:
             target = here
             break
-        for arc in out_arcs.get(here, []):
+        out = arcs.order[arcs.indptr[here]:arcs.indptr[here + 1]]
+        for arc in sorted(out.tolist()):
             if float(residual[arc]) <= _EPS:
                 continue
-            nxt = int(problem.arc_dst[arc])
+            nxt = int(arcs.dst[arc])
             if nxt in seen:
                 continue
             seen.add(nxt)

@@ -49,7 +49,7 @@ class MCFResult:
         """Per-arc utilization of the solution (requires flows)."""
         if self.flows is None:
             raise SolverError("solve with return_flows=True for utilization")
-        return self.flows.sum(axis=0) / problem.arc_cap
+        return self.flows.sum(axis=0) / problem.arcs.cap
 
 
 def solve_concurrent_exact(
@@ -78,10 +78,10 @@ def solve_concurrent_exact(
         row_base = g_index * num_nodes
         col_base = g_index * num_arcs
         arc_cols = col_base + np.arange(num_arcs)
-        rows.append(row_base + problem.arc_src)
+        rows.append(row_base + problem.arcs.src)
         cols.append(arc_cols)
         vals.append(np.ones(num_arcs))
-        rows.append(row_base + problem.arc_dst)
+        rows.append(row_base + problem.arcs.dst)
         cols.append(arc_cols)
         vals.append(-np.ones(num_arcs))
         # -λ·b(v): source row gets -total_demand·λ, sinks +d(t)·λ, moved
@@ -108,7 +108,7 @@ def solve_concurrent_exact(
         (np.ones(num_groups * num_arcs), (ub_rows, ub_cols)),
         shape=(num_arcs, num_vars),
     )
-    b_ub = problem.arc_cap.astype(np.float64)
+    b_ub = problem.arcs.cap.astype(np.float64)
 
     c = np.zeros(num_vars)
     c[lam_col] = -1.0
@@ -135,7 +135,8 @@ def solve_concurrent_exact(
             obs.incr("mcf.exact.method_fallbacks")
     if result is None or not result.success:
         raise SolverError(f"concurrent-flow LP failed: {result.message}")
-    throughput = float(result.x[lam_col])
+    # Disconnected demand pins λ at zero, which HiGHS may report as -0.0.
+    throughput = max(0.0, float(result.x[lam_col]))
     obs.incr("mcf.exact.solves")
     obs.set_gauge("mcf.exact.last_objective", throughput)
     if getattr(result, "nit", None) is not None:

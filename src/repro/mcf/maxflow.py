@@ -2,24 +2,24 @@
 
 Concurrent-flow optima are expensive; these helpers provide cheap upper
 bounds (used as sanity rails in tests and as fast previews in the CLI)
-and an exact single-pair max-flow built on
+and exact switch-set max-flows built on
 :func:`scipy.sparse.csgraph.maximum_flow`.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Iterable
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import maximum_flow
 
-from repro.errors import SolverError
+from repro.errors import SolverError, TopologyError
 from repro.mcf.commodities import FlowProblem
-from repro.topology.elements import Network, SwitchId
+from repro.topology.elements import Arcs, Network, SwitchId
 
 #: Capacities are scaled to integers for csgraph's integer max-flow.
-_FLOW_SCALE = 10_000
+_SCALE = 10_000
 
 
 def source_cut_bound(problem: FlowProblem) -> float:
@@ -29,7 +29,7 @@ def source_cut_bound(problem: FlowProblem) -> float:
     demand) for any group — a single cut, hence an upper bound.
     """
     out_cap = np.zeros(problem.num_nodes)
-    np.add.at(out_cap, problem.arc_src, problem.arc_cap)
+    np.add.at(out_cap, problem.arcs.src, problem.arcs.cap)
     bound = np.inf
     for g in problem.groups:
         bound = min(bound, out_cap[g.source] / g.total_demand)
@@ -39,7 +39,7 @@ def source_cut_bound(problem: FlowProblem) -> float:
 def sink_cut_bound(problem: FlowProblem) -> float:
     """λ upper bound from per-sink in-capacity across all groups."""
     in_cap = np.zeros(problem.num_nodes)
-    np.add.at(in_cap, problem.arc_dst, problem.arc_cap)
+    np.add.at(in_cap, problem.arcs.dst, problem.arcs.cap)
     demand_in: Dict[int, float] = {}
     for g in problem.groups:
         for sink, demand in zip(g.sinks, g.demands):
@@ -63,15 +63,43 @@ def single_pair_max_flow(net: Network, src: SwitchId, dst: SwitchId) -> float:
     """
     if src == dst:
         raise SolverError("source and destination switches coincide")
-    index = net.switch_index()
-    n = len(index)
-    rows, cols, vals = [], [], []
-    for u, v, cap in net.edge_list():
-        ui, vi = index[u], index[v]
-        scaled = int(round(cap * _FLOW_SCALE))
-        rows.extend((ui, vi))
-        cols.extend((vi, ui))
-        vals.extend((scaled, scaled))
-    graph = sp.csr_matrix((vals, (rows, cols)), shape=(n, n), dtype=np.int32)
-    result = maximum_flow(graph, index[src], index[dst])
-    return result.flow_value / _FLOW_SCALE
+    return flow_between_sets(net, [src], [dst])
+
+
+def flow_between_sets(
+    net: Network, side_a: Iterable[SwitchId], side_b: Iterable[SwitchId]
+) -> float:
+    """Max flow from switch set ``side_a`` to ``side_b`` (super nodes).
+
+    A super source feeds every ``side_a`` switch and every ``side_b``
+    switch drains into a super sink, each through an arc far wider than
+    any cut.  Raises :class:`TopologyError` for a switch not in ``net``.
+    """
+    side_a, side_b = set(side_a), set(side_b)
+    if not side_a or not side_b:
+        raise SolverError("both sides of a cut need at least one switch")
+    if side_a & side_b:
+        raise SolverError("cut sides overlap")
+    arcs = net.arcs()
+    a = [_node_of(arcs, s) for s in side_a]
+    b = [_node_of(arcs, s) for s in side_b]
+    n = len(arcs.switches)
+    source, sink = n, n + 1
+    # csgraph's integer max-flow wants int32: capacities are scaled to
+    # integers, and one billion dwarfs any real cut (total fabric
+    # capacity stays far below it) without overflow.
+    big = 1_000_000_000
+    rows = np.concatenate([arcs.src, np.full(len(a), source), b])
+    cols = np.concatenate([arcs.dst, a, np.full(len(b), sink)])
+    vals = np.concatenate([np.rint(arcs.cap * _SCALE),
+                           np.full(len(a) + len(b), big)])
+    graph = sp.csr_matrix((vals.astype(np.int32), (rows, cols)),
+                          shape=(n + 2, n + 2))
+    return maximum_flow(graph, source, sink).flow_value / _SCALE
+
+
+def _node_of(arcs: Arcs, switch: SwitchId) -> int:
+    try:
+        return arcs.node[switch]
+    except KeyError:
+        raise TopologyError(f"unknown switch {switch!r}") from None

@@ -159,11 +159,10 @@ class NetworkMonitor:
             raise ReproError("sampling interval must be non-negative")
         if retention < 1:
             raise ReproError("retention must be at least 1 sample")
-        self.net = net
         self.interval = interval
         self.retention = retention
         self._capacity: Dict[LinkKey, float] = {}
-        self._bind_capacities(net)
+        self.rebind(net)
         self._series: Dict[LinkKey, LinkSeries] = {}
         self._switch_sum: Dict[SwitchId, float] = {}
         self._switch_peak: Dict[SwitchId, float] = {}
@@ -176,11 +175,6 @@ class NetworkMonitor:
         self._dark: Dict[frozenset, List[List[Optional[float]]]] = {}
         self._dark_keys: Dict[frozenset, LinkKey] = {}
 
-    def _bind_capacities(self, net: Network) -> None:
-        for u, v, cap in net.edge_list():
-            self._capacity[(u, v)] = cap
-            self._capacity[(v, u)] = cap
-
     def rebind(self, net: Network) -> None:
         """Point the monitor at a new materialization of the fabric.
 
@@ -190,7 +184,8 @@ class NetworkMonitor:
         the utilization trajectory of the whole before/after timeline.
         """
         self.net = net
-        self._bind_capacities(net)
+        arcs = net.arcs()
+        self._capacity.update(zip(arcs.index, arcs.cap.tolist()))
 
     # ------------------------------------------------------------------
     # publishers

@@ -84,11 +84,9 @@ def compile_optimal_routes(
     """
     problem = build_flow_problem(net, workload)
     solution = solve_concurrent_exact(problem, return_flows=True)
-    index_to_switch = {i: s for s, i in problem.index_of.items()}
-
     routes = OptimalRoutes(throughput=solution.throughput)
     for flow_path in decompose_solution(problem, solution.flows):
-        _add_path(routes, index_to_switch, flow_path)
+        _add_path(routes, problem.arcs.switches, flow_path)
     for weighted in routes.pairs.values():
         _prune_dust(weighted)
     return routes
@@ -96,10 +94,10 @@ def compile_optimal_routes(
 
 def _add_path(
     routes: OptimalRoutes,
-    index_to_switch: Dict[int, SwitchId],
+    switches: Tuple[SwitchId, ...],
     flow_path: PathFlow,
 ) -> None:
-    nodes = tuple(index_to_switch[i] for i in flow_path.nodes)
+    nodes = tuple(switches[i] for i in flow_path.nodes)
     key = (nodes[0], nodes[-1])
     weighted = routes.pairs.setdefault(
         key, WeightedPaths(src=nodes[0], dst=nodes[-1])

@@ -20,11 +20,13 @@ though both are 2-field tuples at heart.
 from __future__ import annotations
 
 from typing import (
-    Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union,
+    Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+    Union,
 )
 
 import networkx as nx
 import numpy as np
+from numpy.typing import ArrayLike, DTypeLike
 
 from repro.errors import PortBudgetError, TopologyError
 
@@ -63,13 +65,45 @@ SwitchId = Union[CoreSwitch, AggSwitch, EdgeSwitch, PlainSwitch]
 ServerId = int
 
 
-#: ``({(u, v): arc id}, per-arc capacity)``, see :meth:`Network.arc_index`.
-ArcIndex = Tuple[Dict[Tuple[SwitchId, SwitchId], int], np.ndarray]
-
-
 def switch_kind(node: SwitchId) -> str:
     """Return the layer/kind discriminant of a switch node."""
     return node.kind
+
+
+class Arcs:
+    """Directed arcs over dense switch indices: a shared, read-only view.
+
+    ``switches[i]`` is node ``i`` and ``node`` maps it back.  Arc ``a``
+    runs ``src[a] -> dst[a]`` with capacity ``cap[a]``; ``index`` maps a
+    ``(u, v)`` switch pair to its arc.  ``order`` lists the arcs sorted
+    by ``(src, dst)`` and ``order[indptr[i]:indptr[i + 1]]`` are the
+    out-arcs of node ``i``: the CSR layout of
+    :mod:`scipy.sparse.csgraph`.  The arrays are read-only; do not
+    mutate the dicts either.
+    """
+
+    def __init__(
+        self,
+        switches: Iterable[SwitchId],
+        ends: Sequence[Tuple[SwitchId, SwitchId]],
+        cap: Sequence[float],
+    ) -> None:
+        self.switches = tuple(switches)
+        self.node = {s: i for i, s in enumerate(self.switches)}
+        self.index = {pair: a for a, pair in enumerate(ends)}
+        self.src = _frozen([self.node[u] for u, _ in ends], np.int32)
+        self.dst = _frozen([self.node[v] for _, v in ends], np.int32)
+        self.cap = _frozen(cap, np.float64)
+        self.order = _frozen(np.lexsort((self.dst, self.src)), np.int32)
+        self.indptr = _frozen(np.searchsorted(
+            self.src[self.order], np.arange(len(self.switches) + 1)),
+            np.int32)
+
+
+def _frozen(values: ArrayLike, dtype: DTypeLike) -> np.ndarray:
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
 
 
 class Network:
@@ -99,7 +133,7 @@ class Network:
         self._ports_used: Dict[SwitchId, int] = {}
         self._server_loc: Dict[ServerId, SwitchId] = {}
         self._servers_on: Dict[SwitchId, List[ServerId]] = {}
-        self._arcs: Optional[ArcIndex] = None
+        self._arcs: Optional[Arcs] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -113,6 +147,7 @@ class Network:
         self._ports[node] = ports
         self._ports_used[node] = 0
         self._servers_on[node] = []
+        self._arcs = None
         self._fabric.add_node(node)
 
     def add_server(self, server: ServerId, switch: SwitchId) -> None:
@@ -282,26 +317,22 @@ class Network:
             (u, v, d["capacity"]) for u, v, d in self._fabric.edges(data=True)
         ]
 
-    def arc_index(self) -> ArcIndex:
-        """Directed arcs of the fabric: ``({(u, v): arc}, caps)``.
+    def arcs(self) -> Arcs:
+        """The fabric's directed arcs (memoized, see :class:`Arcs`).
 
         Every cable bundle yields two arcs, ``2i`` for ``(u, v)`` and
-        ``2i + 1`` for ``(v, u)``, in :meth:`edge_list` order; ``caps``
-        holds each arc's capacity (full-duplex: both directions carry
-        the bundle's capacity).  Memoized; :meth:`add_cable` and
-        :meth:`remove_cable` reset it.  Both parts are shared: do not
-        mutate them (``caps`` is a read-only array).
+        ``2i + 1`` for ``(v, u)``, in :meth:`edge_list` order; both carry
+        the bundle's capacity (full-duplex).  Nodes are indexed as in
+        :meth:`switch_index`.  :meth:`add_switch`, :meth:`add_cable` and
+        :meth:`remove_cable` reset it.
         """
         if self._arcs is None:
-            index: Dict[Tuple[SwitchId, SwitchId], int] = {}
+            ends: List[Tuple[SwitchId, SwitchId]] = []
             caps: List[float] = []
             for u, v, cap in self.edge_list():
-                index[(u, v)] = len(index)
-                index[(v, u)] = len(index)
+                ends += ((u, v), (v, u))
                 caps += (cap, cap)
-            array = np.array(caps, dtype=float)
-            array.flags.writeable = False
-            self._arcs = (index, array)
+            self._arcs = Arcs(self._ports, ends, caps)
         return self._arcs
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -14,7 +14,7 @@ orders of magnitude faster than per-server BFS in Python.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,20 +24,12 @@ from repro.errors import TopologyError
 from repro.topology.elements import Network, ServerId, SwitchId
 
 
-def adjacency_matrix(
-    net: Network, index: Optional[Dict[SwitchId, int]] = None
-) -> sp.csr_matrix:
+def adjacency_matrix(net: Network) -> sp.csr_matrix:
     """Unweighted switch adjacency (parallel cables collapse to 1)."""
-    idx = index or net.switch_index()
-    n = len(idx)
-    rows: List[int] = []
-    cols: List[int] = []
-    for u, v, _cap in net.edge_list():
-        ui, vi = idx[u], idx[v]
-        rows.extend((ui, vi))
-        cols.extend((vi, ui))
-    data = np.ones(len(rows), dtype=np.int8)
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+    arcs = net.arcs()
+    n = len(arcs.switches)
+    data = np.ones(arcs.src.size, dtype=np.int8)
+    return sp.csr_matrix((data, (arcs.src, arcs.dst)), shape=(n, n))
 
 
 def switch_distances(
@@ -48,10 +40,9 @@ def switch_distances(
     Returns a dense ``(n, n)`` float array (``inf`` marks disconnected
     pairs) and the switch -> row index mapping.
     """
-    idx = net.switch_index()
-    adj = adjacency_matrix(net, idx)
+    adj = adjacency_matrix(net)
     dist = shortest_path(adj, method="D", directed=False, unweighted=True)
-    return dist, idx
+    return dist, net.switch_index()
 
 
 def is_connected(net: Network) -> bool:

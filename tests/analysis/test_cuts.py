@@ -11,7 +11,7 @@ from repro.analysis.cuts import (
     random_bisection_bandwidth,
     sparsest_pair_cut,
 )
-from repro.errors import SolverError
+from repro.errors import SolverError, TopologyError
 from repro.topology.elements import Network, PlainSwitch
 from repro.topology.fattree import build_fat_tree
 from repro.topology.jellyfish import build_jellyfish_like_fat_tree
@@ -47,6 +47,11 @@ class TestFlowBetweenSets:
         net = dumbbell()
         with pytest.raises(SolverError):
             flow_between_sets(net, [PlainSwitch(0)], [PlainSwitch(0)])
+
+    def test_unknown_switch_named(self):
+        net = dumbbell()
+        with pytest.raises(TopologyError, match=r"PlainSwitch\(index=99"):
+            flow_between_sets(net, [PlainSwitch(0)], [PlainSwitch(99)])
 
     def test_empty_side_rejected(self):
         net = dumbbell()

@@ -78,3 +78,17 @@ def path3() -> Network:
     net.add_server(0, a)
     net.add_server(1, c)
     return net
+
+
+@pytest.fixture()
+def islands() -> Network:
+    """Two disconnected cables a-b and c-d, servers 0 on a and 1 on c."""
+    net = Network("islands")
+    a, b, c, d = (PlainSwitch(i) for i in range(4))
+    for node in (a, b, c, d):
+        net.add_switch(node, 4)
+    net.add_cable(a, b)
+    net.add_cable(c, d)
+    net.add_server(0, a)
+    net.add_server(1, c)
+    return net

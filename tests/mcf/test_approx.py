@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.errors import SolverError
 from repro.mcf.commodities import Commodity, build_flow_problem
 from repro.mcf.approx import solve_concurrent_approx
 from repro.mcf.exact import solve_concurrent_exact
+from repro.obs.sinks import MemorySink
 from repro.topology.elements import Network, PlainSwitch
 from repro.topology.fattree import build_fat_tree
 from repro.topology.jellyfish import build_jellyfish_like_fat_tree
@@ -40,6 +43,29 @@ class TestBasics:
         net.add_server(1, c)
         problem = build_flow_problem(net, [Commodity(0, 1)])
         assert solve_concurrent_approx(problem).throughput == 0.0
+
+    def test_disconnected_keeps_bookkeeping(self, islands):
+        sink = MemorySink()
+        obs.registry.reset()
+        obs.enable(sink)
+        try:
+            problem = build_flow_problem(islands, [Commodity(0, 1)])
+            lam = solve_concurrent_approx(problem).throughput
+            counters = obs.registry.snapshot()
+        finally:
+            obs.disable()
+            obs.registry.reset()
+        assert lam == 0.0
+        assert math.copysign(1.0, lam) == 1.0
+        assert counters["mcf.approx.solves"]["value"] == 1
+        assert counters["mcf.approx.unreachable_sinks"]["value"] == 1
+        assert counters["mcf.approx.phases"]["value"] == 0
+        assert counters["mcf.approx.dijkstra_calls"]["value"] == 0
+        assert counters["mcf.approx.last_objective"]["value"] == 0.0
+        beats = [e for e in sink.events
+                 if e.get("name") == "progress.heartbeat"
+                 and e.get("phase") == "mcf.approx"]
+        assert beats, "no final progress heartbeat"
 
     def test_max_phases_caps_work(self, triangle):
         problem = build_flow_problem(triangle, [Commodity(0, 1)])

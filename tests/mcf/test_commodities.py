@@ -30,7 +30,7 @@ class TestBuildFlowProblem:
     def test_arcs_are_antiparallel_pairs(self, path3):
         problem = build_flow_problem(path3, [Commodity(0, 1)])
         assert problem.num_arcs == 4  # 2 cables x 2 directions
-        forward = set(zip(problem.arc_src, problem.arc_dst))
+        forward = set(zip(problem.arcs.src, problem.arcs.dst))
         for u, v in forward:
             assert (v, u) in forward
 
@@ -44,7 +44,7 @@ class TestBuildFlowProblem:
         net.add_server(0, a)
         net.add_server(1, b)
         problem = build_flow_problem(net, [Commodity(0, 1)])
-        assert set(problem.arc_cap) == {2.0}
+        assert set(problem.arcs.cap) == {2.0}
 
     def test_same_switch_commodities_dropped(self, triangle):
         net = triangle
@@ -93,7 +93,7 @@ class TestReversed:
         )
         rev = problem.reversed()
         assert rev.num_arcs == problem.num_arcs
-        assert np.array_equal(rev.arc_src, problem.arc_dst)
+        assert np.array_equal(rev.arcs.src, problem.arcs.dst)
         # The single aggregated demand flips direction.
         assert rev.groups[0].source == int(problem.groups[0].sinks[0])
         assert int(rev.groups[0].sinks[0]) == problem.groups[0].source

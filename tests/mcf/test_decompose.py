@@ -42,7 +42,7 @@ class TestDecomposeSimple:
         problem, result = solved(
             triangle, [Commodity(0, 1), Commodity(1, 2)]
         )
-        arc_set = set(zip(problem.arc_src.tolist(), problem.arc_dst.tolist()))
+        arc_set = set(zip(problem.arcs.src.tolist(), problem.arcs.dst.tolist()))
         for path in decompose_solution(problem, result.flows):
             for u, v in zip(path.nodes, path.nodes[1:]):
                 assert (u, v) in arc_set
@@ -73,8 +73,8 @@ class TestDeliveredAmounts:
                 load[(u, v)] = load.get((u, v), 0.0) + path.amount
         caps = {
             (int(s), int(d)): c
-            for s, d, c in zip(problem.arc_src, problem.arc_dst,
-                               problem.arc_cap)
+            for s, d, c in zip(problem.arcs.src, problem.arcs.dst,
+                               problem.arcs.cap)
         }
         for arc, used in load.items():
             assert used <= caps[arc] + 1e-6

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -82,15 +83,16 @@ class TestKnownOptima:
         problem = build_flow_problem(net, [Commodity(0, 1)])
         assert solve_concurrent_exact(problem).throughput == pytest.approx(0.0)
 
+    def test_disconnected_sink_gives_positive_zero(self, islands):
+        problem = build_flow_problem(islands, [Commodity(0, 1)])
+        lam = solve_concurrent_exact(problem).throughput
+        assert lam == 0.0
+        assert math.copysign(1.0, lam) == 1.0
+        assert f"{lam:.4f}" == "0.0000"
+
     def test_no_groups_rejected(self, triangle):
         problem = build_flow_problem(triangle, [Commodity(0, 1)])
-        empty = FlowProblem(
-            num_nodes=problem.num_nodes,
-            arc_src=problem.arc_src,
-            arc_dst=problem.arc_dst,
-            arc_cap=problem.arc_cap,
-            groups=[],
-        )
+        empty = FlowProblem(arcs=problem.arcs, groups=[])
         with pytest.raises(SolverError):
             solve_concurrent_exact(empty)
 
@@ -128,7 +130,7 @@ class TestFlowsOutput:
         assert result.flows is not None
         assert result.flows.shape == (problem.num_groups, problem.num_arcs)
         total = result.flows.sum(axis=0)
-        assert np.all(total <= problem.arc_cap + 1e-8)
+        assert np.all(total <= problem.arcs.cap + 1e-8)
         util = result.utilization(problem)
         assert util.max() <= 1.0 + 1e-8
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import SolverError
+from repro.errors import SolverError, TopologyError
 from repro.mcf.commodities import Commodity, build_flow_problem
 from repro.mcf.maxflow import (
     concurrent_upper_bound,
@@ -43,6 +43,10 @@ class TestSinglePairMaxFlow:
         src = net.server_switch(0)
         dst = net.server_switch(15)
         assert single_pair_max_flow(net, src, dst) == pytest.approx(2.0)
+
+    def test_unknown_switch_named(self, path3):
+        with pytest.raises(TopologyError, match=r"PlainSwitch\(index=99"):
+            single_pair_max_flow(path3, PlainSwitch(0), PlainSwitch(99))
 
     def test_same_switch_rejected(self, path3):
         with pytest.raises(SolverError):

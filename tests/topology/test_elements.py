@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,6 +20,8 @@ from repro.topology.elements import (
     merge_parallel,
     total_ports,
 )
+from repro.topology.fattree import build_fat_tree
+from repro.topology.jellyfish import build_jellyfish_like_fat_tree
 
 
 def make_pair():
@@ -201,22 +206,22 @@ class TestArcIndex:
     def test_both_directions_in_edge_list_order(self):
         net, a, b = make_pair()
         net.add_cable(a, b, capacity=2.0)
-        index, caps = net.arc_index()
-        assert index == {(a, b): 0, (b, a): 1}
-        assert caps.tolist() == [2.0, 2.0]
+        arcs = net.arcs()
+        assert arcs.index == {(a, b): 0, (b, a): 1}
+        assert arcs.cap.tolist() == [2.0, 2.0]
 
     def test_memoized_until_mutation(self):
         net, a, b = make_pair()
         net.add_cable(a, b)
-        first = net.arc_index()
-        assert net.arc_index() is first
+        first = net.arcs()
+        assert net.arcs() is first
 
     def test_rebuilt_after_add_cable(self):
         net, a, b = make_pair()
         net.add_cable(a, b)
-        net.arc_index()
+        net.arcs()
         net.add_cable(a, b)
-        assert net.arc_index()[1].tolist() == [2.0, 2.0]
+        assert net.arcs().cap.tolist() == [2.0, 2.0]
 
     def test_rebuilt_after_remove_cable(self):
         net, a, b = make_pair()
@@ -224,21 +229,62 @@ class TestArcIndex:
         net.add_switch(c, 4)
         net.add_cable(a, b)
         net.add_cable(b, c)
-        net.arc_index()
+        net.arcs()
         net.remove_cable(a, b)
-        index, caps = net.arc_index()
-        assert index == {(b, c): 0, (c, b): 1}
-        assert caps.tolist() == [1.0, 1.0]
+        arcs = net.arcs()
+        assert arcs.index == {(b, c): 0, (c, b): 1}
+        assert arcs.cap.tolist() == [1.0, 1.0]
 
     def test_copy_gets_its_own_index(self):
         net, a, b = make_pair()
         net.add_cable(a, b)
-        original = net.arc_index()
+        original = net.arcs()
         clone = net.copy()
-        assert clone.arc_index() is not original
+        assert clone.arcs() is not original
         clone.remove_cable(a, b)
-        assert clone.arc_index()[0] == {}
-        assert net.arc_index() is original
+        assert clone.arcs().index == {}
+        assert net.arcs() is original
+
+    def test_rebuilt_after_add_switch(self):
+        net, a, b = make_pair()
+        net.add_cable(a, b)
+        first = net.arcs()
+        c = PlainSwitch(2)
+        net.add_switch(c, 4)
+        arcs = net.arcs()
+        assert arcs is not first
+        assert arcs.switches == (a, b, c)
+        assert arcs.node == {a: 0, b: 1, c: 2}
+        assert arcs.indptr.tolist() == [0, 1, 2, 2]
+
+    def test_node_index_and_endpoints(self):
+        net, a, b = make_pair()
+        net.add_cable(a, b, capacity=3.0)
+        arcs = net.arcs()
+        assert arcs.node == net.switch_index()
+        assert arcs.src.tolist() == [0, 1]
+        assert arcs.dst.tolist() == [1, 0]
+
+    def test_arrays_are_read_only(self):
+        net, a, b = make_pair()
+        net.add_cable(a, b)
+        arcs = net.arcs()
+        for array in (arcs.src, arcs.dst, arcs.cap, arcs.order,
+                      arcs.indptr):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    @pytest.mark.parametrize("builder", ["fat-tree", "jellyfish"])
+    def test_csr_order_sorts_by_src_then_dst(self, builder):
+        net = (build_fat_tree(6) if builder == "fat-tree"
+               else build_jellyfish_like_fat_tree(6, random.Random(0)))
+        arcs = net.arcs()
+        assert arcs.order.tolist() == np.lexsort(
+            (arcs.dst, arcs.src)).tolist()
+        for node in range(len(arcs.switches)):
+            out = arcs.order[arcs.indptr[node]:arcs.indptr[node + 1]]
+            assert set(arcs.src[out].tolist()) <= {node}
+            assert out.size == net.fabric.degree(arcs.switches[node])
 
 
 class TestMergeParallel:
