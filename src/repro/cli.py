@@ -440,7 +440,8 @@ def _bench_handler(args) -> int:
         print("bench: pytest-benchmark is required "
               "(pip install -e .[dev])", file=sys.stderr)
         return 2
-    out = Path(args.out) if args.out else bench_sessions.next_bench_path(root)
+    out = (Path(args.out) if args.out
+           else bench_sessions.next_numbered_path(root, "BENCH"))
 
     with tempfile.TemporaryDirectory() as tmp:
         bench_json = Path(tmp) / "pytest-benchmark.json"
@@ -466,13 +467,14 @@ def _bench_handler(args) -> int:
         metrics = json.loads(metrics_path.read_text(encoding="utf-8"))
     session = bench_sessions.build_session(
         stats, metrics, label=args.label, root=root)
-    bench_sessions.write_session(out, session)
+    bench_sessions.write_json(out, session, bench_sessions.validate_session,
+                              "bench")
     obs.event("perf.bench_session", out=str(out), benches=len(stats))
     print(f"bench: wrote {out} — {len(stats)} benchmarks, "
           f"commit {session['environment'].get('git_commit') or '?'}")
     for key, entry in sorted(session["benchmarks"].items()):
         print(f"  {entry['wall_s']:>10.4f}s  {key}")
-    print("compare sessions with: python -m tools.perfreport compare "
+    print("compare sessions with: python -m tools.perfreport diff "
           "BASE NEW (see docs/performance.md)")
     return 0
 
@@ -492,14 +494,15 @@ def _hotspots_handler(args) -> int:
         return 2
     root = bench_sessions.repo_root()
     out = (Path(args.out) if args.out
-           else hotspot_docs.next_hotspots_path(root))
+           else bench_sessions.next_numbered_path(root, "HOTSPOTS"))
     result = run_campaign(k=args.k, hz=args.hz, seed=args.seed,
                           flows=args.flows)
     document = hotspot_docs.build_document(
         result.profile, result.stages, k=args.k, label=args.label,
         top=args.top, root=root)
     try:
-        hotspot_docs.write_document(out, document)
+        bench_sessions.write_json(out, document,
+                                  hotspot_docs.validate_document, "hotspot")
     except ReproError as exc:
         print(f"hotspots: {exc}", file=sys.stderr)
         return 1
@@ -517,7 +520,7 @@ def _hotspots_handler(args) -> int:
 def _trend_handler(args) -> int:
     """Judge the recorded perf trajectory against its own noise model.
 
-    Exit codes follow the comparator convention: 0 = the newest
+    Exit codes follow the perfreport convention: 0 = the newest
     sessions sit inside their MAD noise bands, 1 = at least one metric
     stepped up (regression).
     """
@@ -764,17 +767,17 @@ def _info_handler(args) -> int:
     else:
         print(f"lint: {capability_line()}")
     from repro.obs import bench as bench_sessions
-    from repro.obs import hotspots as hotspot_docs
 
     root = bench_sessions.repo_root()
-    sessions = bench_sessions.bench_paths(root)
-    campaigns = hotspot_docs.hotspot_paths(root)
+    sessions = bench_sessions.numbered_paths(root, "BENCH")
+    campaigns = bench_sessions.numbered_paths(root, "HOTSPOTS")
     print(
         "perf: span-tree profiler + folded-stack export "
         "(python -m tools.perfreport profile/flamegraph), "
         f"bench trajectory {len(sessions)} BENCH_*.json session(s) "
-        "(flattree bench, docs/performance.md), differential analysis "
-        "(perfreport diff: span-tree/hotspot/bench deltas + "
+        "(flattree bench, docs/performance.md), pairwise gate with "
+        "differential analysis (perfreport diff: bench/hotspot/span-tree "
+        "deltas + "
         "differential flamegraphs), trajectory trend gate with MAD "
         "noise bands (flattree trend, perfreport trend)"
     )

@@ -1,4 +1,4 @@
-"""Durable benchmark sessions: the ``BENCH_<seq>.json`` trajectory.
+"""Durable perf sessions: the ``BENCH_<seq>.json`` trajectory and its store.
 
 ``benchmarks/METRICS.json`` is overwritten on every bench run and
 pytest-benchmark's tables scroll away with the terminal, so the repo
@@ -17,15 +17,25 @@ per bench session, carrying
 * a monotonically growing sequence number, so ``BENCH_1.json``,
   ``BENCH_2.json``, ... form the repository's perf trajectory.
 
+It is also the one session store for every numbered repo-root artifact
+(``BENCH_<seq>.json`` and the hotspot campaigns' ``HOTSPOTS_<seq>.json``):
+sequence discovery (:func:`numbered_paths`, :func:`next_numbered_path`,
+:func:`seq_of`), the NaN-scrubbed, schema-checked, sorted-key writer
+(:func:`write_json`) and the checked reader (:func:`load_json`), plus
+the two rules every consumer shares — :func:`wall_times` and
+:func:`environment_drift`.
+
 Produced by ``flattree bench`` (see :mod:`repro.cli`), consumed by the
-regression gate ``python -m tools.perfreport compare BASE NEW`` and by
-``make bench-compare`` / ``make bench-smoke``.  The schema is
-documented in ``docs/performance.md``.
+pairwise gate ``python -m tools.perfreport diff BASE NEW``, by the
+trajectory gate ``perfreport trend`` and by ``make bench-compare`` /
+``make bench-smoke``.  The schema is documented in
+``docs/performance.md``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
 import posixpath
@@ -33,16 +43,21 @@ import re
 import subprocess
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from repro.errors import ReproError
 
 #: Version of the BENCH_*.json layout; bump on breaking change.
 BENCH_SCHEMA_VERSION = 1
 
-#: Repo-root session files: ``BENCH_<seq>.json`` (or a free-form tag
-#: such as ``BENCH_smoke.json`` for throwaway runs).
-_BENCH_SEQ = re.compile(r"^BENCH_(\d+)\.json$")
+#: Numbered repo-root session files (``BENCH_<seq>.json``,
+#: ``HOTSPOTS_<seq>.json``); free-form tags such as ``BENCH_smoke.json``
+#: are throwaway runs that never join the trajectory.
+_NUMBERED = re.compile(r"^[A-Z]+_(\d+)\.json$")
+
+#: Fingerprint keys whose drift makes two sessions incomparable.
+_DRIFT_KEYS = ("python", "implementation", "machine", "cpu_count",
+               "networkx", "numpy", "scipy")
 
 #: One bench entry: wall stats plus the registry snapshot.
 BenchEntry = Dict[str, Any]
@@ -94,20 +109,24 @@ def repo_root() -> Path:
     return Path(__file__).resolve().parents[3]
 
 
-def bench_paths(root: Path) -> List[Path]:
-    """Existing numbered sessions, oldest first."""
-    found = [(int(m.group(1)), path)
-             for path in root.glob("BENCH_*.json")
-             if (m := _BENCH_SEQ.match(path.name)) is not None]
-    return [path for _, path in sorted(found)]
+def seq_of(path: Path) -> int:
+    """The ``<seq>`` of a numbered session file; -1 for a free-form tag."""
+    match = _NUMBERED.match(path.name)
+    return int(match.group(1)) if match else -1
 
 
-def next_bench_path(root: Path) -> Path:
-    """The next free ``BENCH_<seq>.json`` slot under ``root``."""
-    taken = [int(m.group(1))
-             for path in root.glob("BENCH_*.json")
-             if (m := _BENCH_SEQ.match(path.name)) is not None]
-    return root / f"BENCH_{max(taken, default=0) + 1}.json"
+def numbered_paths(root: Path, prefix: str) -> List[Path]:
+    """Existing ``<prefix>_<seq>.json`` files under ``root``, oldest first."""
+    found = sorted((seq_of(path), path)
+                   for path in root.glob(f"{prefix}_*.json"))
+    return [path for seq, path in found if seq >= 0]
+
+
+def next_numbered_path(root: Path, prefix: str) -> Path:
+    """The next free ``<prefix>_<seq>.json`` slot under ``root``."""
+    taken = numbered_paths(root, prefix)
+    seq = seq_of(taken[-1]) + 1 if taken else 1
+    return root / f"{prefix}_{seq}.json"
 
 
 def normalize_nodeid(nodeid: str) -> str:
@@ -147,7 +166,7 @@ def build_session(
         "label": label,
         # Session metadata by contract: ``ts`` records when the bench
         # ran and is excluded from baseline comparison (see
-        # compare_sessions), so wall time here cannot skew replays.
+        # wall_times), so wall time here cannot skew replays.
         "ts": time.time(),  # flatlint: disable=FT007
         "environment": environment_fingerprint(root),
         "benchmarks": benchmarks,
@@ -177,6 +196,12 @@ def parse_pytest_benchmark_json(
     return stats
 
 
+def finite_nonnegative(value: object) -> bool:
+    """A real, finite, non-negative number (no bool, NaN or inf)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value) and value >= 0)
+
+
 def validate_session(session: Mapping[str, object]) -> List[str]:
     """Schema-check a decoded session document (empty = valid)."""
     problems: List[str] = []
@@ -199,40 +224,82 @@ def validate_session(session: Mapping[str, object]) -> List[str]:
         if not isinstance(entry, dict):
             problems.append(f"bench {key!r} is not an object")
             continue
-        wall = entry.get("wall_s")
-        if (not isinstance(wall, (int, float)) or isinstance(wall, bool)
-                or wall < 0):
-            problems.append(f"bench {key!r} missing non-negative 'wall_s'")
+        if not finite_nonnegative(entry.get("wall_s")):
+            problems.append(
+                f"bench {key!r} missing finite non-negative 'wall_s'")
         if not isinstance(entry.get("metrics"), dict):
             problems.append(f"bench {key!r} missing 'metrics' object")
     return problems
 
 
-def write_session(path: Path, session: BenchSession) -> None:
-    """Write one session document (sorted keys, trailing newline)."""
-    problems = validate_session(session)
+def wall_times(session: Mapping[str, object]) -> Dict[str, float]:
+    """``{bench key: wall_s}`` for every entry with a numeric wall time.
+
+    Session metadata (``ts``, ``label``) never enters a comparison.
+    """
+    benchmarks = session.get("benchmarks")
+    walls: Dict[str, float] = {}
+    for key, entry in (benchmarks.items()
+                       if isinstance(benchmarks, dict) else []):
+        wall = entry.get("wall_s") if isinstance(entry, dict) else None
+        if isinstance(wall, (int, float)) and not isinstance(wall, bool):
+            walls[str(key)] = float(wall)
+    return walls
+
+
+def environment_drift(prev: Mapping[str, object],
+                      cur: Mapping[str, object]) -> List[str]:
+    """One note per fingerprint key that differs between two sessions."""
+    prev_env = prev.get("environment")
+    cur_env = cur.get("environment")
+    if not isinstance(prev_env, dict) or not isinstance(cur_env, dict):
+        return []
+    return [f"{key} changed {prev_env.get(key)!r} -> {cur_env.get(key)!r}"
+            for key in _DRIFT_KEYS if prev_env.get(key) != cur_env.get(key)]
+
+
+#: A document schema check: the list of problems, empty when valid.
+Validator = Callable[[Mapping[str, object]], List[str]]
+
+
+def _scrub(value: Any) -> Any:
+    """Replace non-finite floats with ``None`` (JSON has no NaN)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {key: _scrub(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_scrub(item) for item in value]
+    return value
+
+
+def write_json(path: Path, document: Mapping[str, Any],
+               validate: Validator, what: str) -> None:
+    """Write one session document (NaN-scrubbed, schema-checked, sorted
+    keys, trailing newline); ``what`` names the kind in errors."""
+    scrubbed = _scrub(document)
+    problems = validate(scrubbed)
     if problems:
-        raise ReproError(
-            f"refusing to write invalid bench session {path}: "
-            + "; ".join(problems))
+        raise ReproError(f"refusing to write invalid {what} file {path}: "
+                         + "; ".join(problems))
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(session, handle, indent=1, sort_keys=True)
+        json.dump(scrubbed, handle, indent=1, sort_keys=True)
         handle.write("\n")
 
 
-def load_session(path: Path) -> BenchSession:
-    """Read and schema-check one ``BENCH_*.json``."""
+def load_json(path: Path, validate: Validator, what: str) -> Dict[str, Any]:
+    """Read and schema-check one session document."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            session = json.load(handle)
+            document = json.load(handle)
     except OSError as exc:
-        raise ReproError(f"cannot read bench session {path}: {exc}") from exc
+        raise ReproError(f"cannot read {what} file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ReproError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(session, dict):
+    if not isinstance(document, dict):
         raise ReproError(f"{path} is not a JSON object")
-    problems = validate_session(session)
+    problems = validate(document)
     if problems:
-        raise ReproError(f"{path} fails the bench schema: "
+        raise ReproError(f"{path} fails the {what} schema: "
                          + "; ".join(problems))
-    return session
+    return document

@@ -1,9 +1,9 @@
 """Differential profiling: where a wall-time delta actually went.
 
-The pairwise bench comparator (``tools.perfreport compare``) can say
-*that* a session regressed; this module says *where*.  It aligns two
-performance recordings and attributes the delta per function / span
-path, in three input flavors sharing one result shape:
+This module is the pairwise perf gate: it says *that* a recording
+regressed and *where*.  It aligns two performance recordings and
+attributes the delta per function / span path, in three input flavors
+sharing one result shape:
 
 * **span-tree diff** (:func:`diff_profiles`) — two
   :class:`repro.obs.perf.Profile` trees from telemetry JSONL traces,
@@ -18,7 +18,13 @@ path, in three input flavors sharing one result shape:
   sampled function key over estimated self/cum seconds.
 * **bench-session diff** (:func:`diff_bench_sessions`) — two
   ``BENCH_<seq>.json`` sessions, aligned by bench node id over wall
-  time (the same join the comparator uses, rendered as attribution).
+  time (:func:`repro.obs.bench.wall_times`) — the bench regression
+  gate ``perfreport diff BASE NEW``.
+
+For bench sessions and hotspot campaigns the two environment
+fingerprints are diffed too (:func:`repro.obs.bench.environment_drift`):
+a slower python or fewer CPUs explains a "regression" better than any
+code change, so the drift is reported above the verdict.
 
 **Differential flamegraphs** ride along: :func:`subtract_folded` takes
 two folded-stack exports (``a;b;c <usec>`` lines, as produced by
@@ -28,11 +34,13 @@ two-column ``stack base_usec new_usec`` format that Brendan Gregg's
 so ``perfreport diff --folded out.folded`` shows where an optimization
 *moved* time, for traces and campaigns alike.
 
-Classification is noise-tolerant with the same defaults as the bench
-gate: a path must grow beyond ``1 + tolerance`` (default 25%) and sit
-above the runtime floor (default 5 ms) on at least one side to count.
-A diff with at least one ``grown`` path carries ``exit_code`` 1 — the
-CLI (``python -m tools.perfreport diff``) forwards it.
+Classification is noise-tolerant: a path must grow beyond
+``1 + tolerance`` (default 25%) and sit above the runtime floor
+(default 5 ms) on at least one side to count.  These two defaults are
+the repo's one definition of "noise"; the trend gate's band floors
+import them.  A diff with at least one ``grown`` path carries
+``exit_code`` 1 — the CLI (``python -m tools.perfreport diff``)
+forwards it.
 
 This module is a replay-critical sink for flatlint FT007: its reports
 must be byte-identical across replays, so no wall clock or RNG may
@@ -45,6 +53,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import ReproError
+from repro.obs import bench
 from repro.obs.perf import Profile
 from repro.obs.trace import event
 
@@ -63,8 +72,8 @@ __all__ = [
     "subtract_folded",
 ]
 
-#: Relative growth tolerated before a path counts as ``grown``; mirrors
-#: the pairwise bench comparator so the two gates agree on "noise".
+#: Relative growth tolerated before a path counts as ``grown`` — far
+#: above timer jitter on the seconds-long benches.
 DEFAULT_TOLERANCE = 0.25
 
 #: Paths under this on both sides are ``below-floor`` and never judged.
@@ -123,6 +132,8 @@ class ProfileDiff:
     #: (name, cum_s) along each recording's critical path (traces only).
     critical_base: List[Tuple[str, float]] = field(default_factory=list)
     critical_new: List[Tuple[str, float]] = field(default_factory=list)
+    #: Fingerprint differences (bench sessions and hotspot campaigns).
+    environment_drift: List[str] = field(default_factory=list)
 
     @property
     def total_delta_s(self) -> float:
@@ -290,25 +301,21 @@ def diff_hotspot_documents(
         base_total_s=float(base.get("duration_s", 0.0) or 0.0),
         new_total_s=float(new.get("duration_s", 0.0) or 0.0),
         deltas=deltas,
+        environment_drift=bench.environment_drift(base, new),
     )
 
 
 def _collapse_bench(session: Mapping[str, object]) -> Dict[str, _PathStats]:
-    stats: Dict[str, _PathStats] = {}
     benchmarks = session.get("benchmarks")
-    for key, entry in (benchmarks.items()
-                       if isinstance(benchmarks, dict) else []):
-        if not isinstance(entry, dict):
-            continue
-        wall = entry.get("wall_s")
-        if not isinstance(wall, (int, float)) or isinstance(wall, bool):
-            continue
-        rounds = entry.get("rounds")
-        stats[str(key)] = _PathStats(
-            path=str(key), name=str(key),
+    entries = benchmarks if isinstance(benchmarks, dict) else {}
+    stats: Dict[str, _PathStats] = {}
+    for key, wall in bench.wall_times(session).items():
+        rounds = entries[key].get("rounds")
+        stats[key] = _PathStats(
+            path=key, name=key,
             calls=rounds if isinstance(rounds, int)
             and not isinstance(rounds, bool) else 1,
-            cum_s=float(wall), self_s=float(wall),
+            cum_s=wall, self_s=wall,
         )
     return stats
 
@@ -331,6 +338,7 @@ def diff_bench_sessions(
         base_total_s=sum(s.cum_s for s in base_stats.values()),
         new_total_s=sum(s.cum_s for s in new_stats.values()),
         deltas=deltas,
+        environment_drift=bench.environment_drift(base, new),
     )
 
 
@@ -387,6 +395,8 @@ def render_text(diff: ProfileDiff, top: int = 30) -> str:
         f"total {diff.base_total_s:.4f}s -> {diff.new_total_s:.4f}s "
         f"({diff.total_delta_s:+.4f}s{total_ratio})",
     ]
+    lines += [f"! environment drift — {note}"
+              for note in diff.environment_drift]
     has_mem = any(d.mem_delta_kb is not None for d in diff.deltas)
     label = "path" if diff.kind == "trace" else (
         "function" if diff.kind == "hotspots" else "bench")
@@ -449,6 +459,7 @@ def render_json(diff: ProfileDiff) -> Dict[str, object]:
         "total_delta_s": diff.total_delta_s,
         "grown": len(diff.grown),
         "shrunk": len(diff.shrunk),
+        "environment_drift": list(diff.environment_drift),
         "critical_base": [
             {"name": name, "cum_s": cum} for name, cum in diff.critical_base],
         "critical_new": [

@@ -11,78 +11,44 @@ The document (schema :data:`SCHEMA`) carries the environment
 fingerprint reused from :mod:`repro.obs.bench`, per-stage wall time and
 sample counts, the top functions ranked by self time with the span
 paths they ran under, and the raw folded stacks so the flame graph
-round-trips through ``python -m tools.perfreport hotspots``.  Files
-are written NaN-scrubbed with sorted keys, so identical campaigns
-produce structurally identical documents.
+round-trips through ``python -m tools.perfreport hotspots``.
 
-Sequencing follows the BENCH convention: numbered files form the
-trajectory; free-form tags (``HOTSPOTS_smoke.json``) are ignored by
-discovery and never claim a sequence slot.
+Files are stored through the shared session store in
+:mod:`repro.obs.bench` — the same sequence discipline as
+``BENCH_<seq>.json`` (numbered files form the trajectory; free-form
+tags such as ``HOTSPOTS_smoke.json`` never claim a slot), written
+NaN-scrubbed with sorted keys so identical campaigns produce
+structurally identical documents::
+
+    bench.write_json(path, document, validate_document, "hotspot")
+    bench.load_json(path, validate_document, "hotspot")
 """
 
 from __future__ import annotations
 
-import json
-import math
 import re
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from repro.errors import ReproError
-from repro.obs.bench import environment_fingerprint, repo_root
+from repro.obs.bench import environment_fingerprint, finite_nonnegative
 from repro.obs.sampler import SampleProfile
 
 __all__ = [
     "SCHEMA",
     "build_document",
-    "hotspot_paths",
-    "load_document",
-    "next_hotspots_path",
     "render_document",
     "validate_document",
-    "write_document",
 ]
 
 #: Document schema identifier; bump the suffix on breaking change.
 SCHEMA = "flattree.hotspots/1"
-
-#: Repo-root artifacts: ``HOTSPOTS_<seq>.json``; free-form tags such as
-#: ``HOTSPOTS_smoke.json`` are throwaway and skip sequence discovery.
-_HOTSPOT_SEQ = re.compile(r"^HOTSPOTS_(\d+)\.json$")
 
 #: A folded-stack line: frames joined by ``;`` then an integer weight.
 _FOLDED_LINE = re.compile(r"^\S.* \d+$")
 
 #: A full decoded hotspot document.
 HotspotDocument = Dict[str, Any]
-
-
-def hotspot_paths(root: Path) -> List[Path]:
-    """Existing numbered campaign artifacts under ``root``, oldest first."""
-    found = [(int(m.group(1)), path)
-             for path in root.glob("HOTSPOTS_*.json")
-             if (m := _HOTSPOT_SEQ.match(path.name)) is not None]
-    return [path for _, path in sorted(found)]
-
-
-def next_hotspots_path(root: Path) -> Path:
-    """The next free ``HOTSPOTS_<seq>.json`` slot under ``root``."""
-    taken = [int(m.group(1))
-             for path in root.glob("HOTSPOTS_*.json")
-             if (m := _HOTSPOT_SEQ.match(path.name)) is not None]
-    return root / f"HOTSPOTS_{max(taken, default=0) + 1}.json"
-
-
-def _scrub(value: Any) -> Any:
-    """Replace non-finite floats with ``None`` (JSON has no NaN)."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, dict):
-        return {key: _scrub(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_scrub(item) for item in value]
-    return value
 
 
 def build_document(
@@ -158,10 +124,8 @@ def validate_document(document: Mapping[str, object]) -> List[str]:
         samples = 0
     elif samples < 0:
         problems.append(f"negative 'samples' {samples}")
-    duration = document.get("duration_s")
-    if (not isinstance(duration, (int, float)) or isinstance(duration, bool)
-            or duration < 0):
-        problems.append("missing non-negative 'duration_s'")
+    if not finite_nonnegative(document.get("duration_s")):
+        problems.append("missing finite non-negative 'duration_s'")
     env = document.get("environment")
     if not isinstance(env, dict):
         problems.append("missing 'environment' fingerprint object")
@@ -176,6 +140,9 @@ def validate_document(document: Mapping[str, object]) -> List[str]:
         for stage in stages:
             if not isinstance(stage, dict) or not stage.get("name"):
                 problems.append(f"malformed stage entry {stage!r}")
+            elif not finite_nonnegative(stage.get("wall_s")):
+                problems.append(f"stage {stage['name']!r} missing finite "
+                                "non-negative 'wall_s'")
     functions = document.get("functions")
     if not isinstance(functions, list):
         problems.append("missing 'functions' list")
@@ -208,38 +175,6 @@ def validate_document(document: Mapping[str, object]) -> List[str]:
                 problems.append(f"malformed folded line {line!r}")
                 break
     return problems
-
-
-def write_document(path: Path, document: HotspotDocument) -> None:
-    """Write one artifact (NaN-scrubbed, sorted keys, trailing newline)."""
-    scrubbed = _scrub(document)
-    problems = validate_document(scrubbed)
-    if problems:
-        raise ReproError(
-            f"refusing to write invalid hotspot document {path}: "
-            + "; ".join(problems))
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(scrubbed, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-
-
-def load_document(path: Path) -> HotspotDocument:
-    """Read and schema-check one ``HOTSPOTS_*.json``."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except OSError as exc:
-        raise ReproError(f"cannot read hotspot document {path}: {exc}") \
-            from exc
-    except json.JSONDecodeError as exc:
-        raise ReproError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(document, dict):
-        raise ReproError(f"{path} is not a JSON object")
-    problems = validate_document(document)
-    if problems:
-        raise ReproError(f"{path} fails the hotspot schema: "
-                         + "; ".join(problems))
-    return document
 
 
 def render_document(document: Mapping[str, Any], top: int = 20) -> str:

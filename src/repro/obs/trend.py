@@ -1,7 +1,7 @@
 """Trajectory-aware regression analytics over durable perf sessions.
 
-``tools.perfreport compare`` judges the newest two ``BENCH_*.json``
-sessions pairwise: one noisy recording can flip the gate either way.
+``tools.perfreport diff`` judges two ``BENCH_*.json`` sessions
+pairwise: one noisy recording can flip the gate either way.
 This module ingests the *whole* recorded trajectory — every numbered
 ``BENCH_<seq>.json`` and ``HOTSPOTS_<seq>.json`` at the repo root —
 into per-metric time series and judges the newest point against a
@@ -15,7 +15,7 @@ noise model fitted to its own history:
 
   ``1.4826 * MAD`` estimates a Gaussian sigma robustly, so one
   historical outlier cannot widen the band the way a stddev would;
-  the relative floor (default 25%, matching the pairwise gate) keeps
+  the relative floor (default 25%, the pairwise gate's tolerance) keeps
   near-constant series from producing a zero-width band, and the
   absolute floor (default 5 ms) mutes timer jitter on micro-benches.
 * **step detection** — the newest value outside the band is a
@@ -26,8 +26,10 @@ noise model fitted to its own history:
 
 Surfaces: ``python -m tools.perfreport trend`` (text / JSON /
 markdown) and ``flattree trend``; ``make bench-compare`` gates CI on
-this instead of the newest-two compare.  A regression must therefore
+this instead of the newest-two diff.  A regression must therefore
 exceed the *noise band*, not merely the 25% pairwise tolerance.
+Environment drift is reported between adjacent sessions of each
+trajectory (BENCH and HOTSPOTS alike).
 
 Like the other durable-artifact writers this module is a
 replay-critical flatlint FT007 sink: reports must be byte-identical
@@ -42,6 +44,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.obs import bench, hotspots
+from repro.obs.diffprof import DEFAULT_MIN_RUNTIME_S
+from repro.obs.diffprof import DEFAULT_TOLERANCE as DEFAULT_REL_FLOOR
 from repro.obs.trace import event
 
 __all__ = [
@@ -71,12 +75,9 @@ DEFAULT_WINDOW = 8
 #: Band half-width in robust sigmas; 4 keeps honest noise inside.
 DEFAULT_SIGMAS = 4.0
 
-#: Relative band floor — matches the pairwise comparator's tolerance
-#: so the trajectory gate is never *stricter* than the gate it replaces.
-DEFAULT_REL_FLOOR = 0.25
-
-#: Absolute band floor in seconds; sub-floor deltas are timer jitter.
-DEFAULT_MIN_RUNTIME_S = 0.005
+# The band floors are the pairwise gate's tolerance and runtime floor
+# (imported above), so the trajectory gate is never *stricter* than
+# ``perfreport diff`` on the same two sessions.
 
 #: MAD -> sigma for Gaussian noise (1 / Phi^-1(3/4)).
 MAD_SCALE = 1.4826
@@ -243,29 +244,16 @@ def analyze_series(
 # trajectory ingestion
 # ----------------------------------------------------------------------
 
-def _seq_of(path: Path) -> int:
-    digits = "".join(ch for ch in path.stem if ch.isdigit())
-    return int(digits) if digits else 0
-
-
 def bench_series(
     sessions: Sequence[Tuple[Path, Mapping[str, object]]],
 ) -> Dict[str, List[SeriesPoint]]:
     """``bench:<key>`` series from decoded ``BENCH_*.json`` sessions."""
     series: Dict[str, List[SeriesPoint]] = {}
     for path, session in sessions:
-        benchmarks = session.get("benchmarks")
-        if not isinstance(benchmarks, dict):
-            continue
-        for key in sorted(benchmarks):
-            entry = benchmarks[key]
-            if not isinstance(entry, dict):
-                continue
-            wall = entry.get("wall_s")
-            if not isinstance(wall, (int, float)) or isinstance(wall, bool):
-                continue
+        walls = bench.wall_times(session)
+        for key in sorted(walls):
             series.setdefault(f"bench:{key}", []).append(SeriesPoint(
-                seq=_seq_of(path), label=path.name, value=float(wall)))
+                seq=bench.seq_of(path), label=path.name, value=walls[key]))
     return series
 
 
@@ -289,30 +277,34 @@ def hotspot_series(
                 continue
             series.setdefault(
                 f"hotspots:stage.{name}.wall_s", []).append(SeriesPoint(
-                    seq=_seq_of(path), label=path.name, value=float(wall)))
+                    seq=bench.seq_of(path), label=path.name,
+                    value=float(wall)))
     return series
 
 
-#: Fingerprint keys whose drift makes adjacent sessions incomparable.
-_DRIFT_KEYS = ("python", "implementation", "machine", "cpu_count",
-               "networkx", "numpy", "scipy")
+Documents = List[Tuple[Path, Mapping[str, object]]]
 
 
-def _environment_drift(
-    sessions: Sequence[Tuple[Path, Mapping[str, object]]],
-) -> List[str]:
-    notes: List[str] = []
-    for (prev_path, prev), (cur_path, cur) in zip(sessions, sessions[1:]):
-        prev_env = prev.get("environment")
-        cur_env = cur.get("environment")
-        if not isinstance(prev_env, dict) or not isinstance(cur_env, dict):
+def _environment_drift(documents: Documents) -> List[str]:
+    """Drift notes between adjacent sessions of one trajectory."""
+    return [f"{prev_path.name} -> {cur_path.name}: {note}"
+            for (prev_path, prev), (cur_path, cur)
+            in zip(documents, documents[1:])
+            for note in bench.environment_drift(prev, cur)]
+
+
+def _load_trajectory(report: TrendReport, root: Path, prefix: str,
+                     validate: bench.Validator, what: str) -> Documents:
+    """Every readable ``<prefix>_<seq>.json``; unreadable ones are noted."""
+    documents: Documents = []
+    for path in bench.numbered_paths(root, prefix):
+        try:
+            documents.append((path, bench.load_json(path, validate, what)))
+        except ReproError as exc:
+            report.environment_drift.append(f"{path.name}: unreadable ({exc})")
             continue
-        for key in _DRIFT_KEYS:
-            if prev_env.get(key) != cur_env.get(key):
-                notes.append(
-                    f"{prev_path.name} -> {cur_path.name}: {key} changed "
-                    f"{prev_env.get(key)!r} -> {cur_env.get(key)!r}")
-    return notes
+        report.sessions.append(path.name)
+    return documents
 
 
 def analyze_trajectory(
@@ -331,22 +323,10 @@ def analyze_trajectory(
     root = root if root is not None else bench.repo_root()
     report = TrendReport(root=str(root), window=window, sigmas=sigmas,
                          rel_floor=rel_floor, min_runtime_s=min_runtime_s)
-    bench_sessions: List[Tuple[Path, Mapping[str, object]]] = []
-    for path in bench.bench_paths(root):
-        try:
-            bench_sessions.append((path, bench.load_session(path)))
-        except ReproError as exc:
-            report.environment_drift.append(f"{path.name}: unreadable ({exc})")
-            continue
-        report.sessions.append(path.name)
-    hotspot_documents: List[Tuple[Path, Mapping[str, object]]] = []
-    for path in hotspots.hotspot_paths(root):
-        try:
-            hotspot_documents.append((path, hotspots.load_document(path)))
-        except ReproError as exc:
-            report.environment_drift.append(f"{path.name}: unreadable ({exc})")
-            continue
-        report.sessions.append(path.name)
+    bench_sessions = _load_trajectory(
+        report, root, "BENCH", bench.validate_session, "bench")
+    hotspot_documents = _load_trajectory(
+        report, root, "HOTSPOTS", hotspots.validate_document, "hotspot")
     all_series = bench_series(bench_sessions)
     all_series.update(hotspot_series(hotspot_documents))
     report.metrics = [
@@ -356,6 +336,7 @@ def analyze_trajectory(
         for metric in sorted(all_series)
     ]
     report.environment_drift.extend(_environment_drift(bench_sessions))
+    report.environment_drift.extend(_environment_drift(hotspot_documents))
     return report
 
 

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.errors import ReproError
-from repro.obs import hotspots
+from repro.obs import bench, hotspots
 from repro.obs.sampler import SampleProfile
 
 
@@ -34,18 +34,28 @@ def make_document(tmp_path=None):
         make_profile(), stages, k=8, label="test")
 
 
+def write(path, document):
+    bench.write_json(path, document, hotspots.validate_document, "hotspot")
+
+
+def load(path):
+    return bench.load_json(path, hotspots.validate_document, "hotspot")
+
+
 class TestSequence:
     def test_discovery_ignores_tags_and_sorts(self, tmp_path):
         for name in ("HOTSPOTS_2.json", "HOTSPOTS_1.json",
                      "HOTSPOTS_smoke.json"):
             touch(tmp_path, name)
-        names = [p.name for p in hotspots.hotspot_paths(tmp_path)]
+        names = [p.name for p in bench.numbered_paths(tmp_path, "HOTSPOTS")]
         assert names == ["HOTSPOTS_1.json", "HOTSPOTS_2.json"]
 
     def test_next_free_slot(self, tmp_path):
-        assert hotspots.next_hotspots_path(tmp_path).name == "HOTSPOTS_1.json"
+        next_slot = bench.next_numbered_path(tmp_path, "HOTSPOTS")
+        assert next_slot.name == "HOTSPOTS_1.json"
         touch(tmp_path, "HOTSPOTS_3.json")
-        assert hotspots.next_hotspots_path(tmp_path).name == "HOTSPOTS_4.json"
+        next_slot = bench.next_numbered_path(tmp_path, "HOTSPOTS")
+        assert next_slot.name == "HOTSPOTS_4.json"
 
 
 class TestDocument:
@@ -73,6 +83,20 @@ class TestDocument:
         assert any("not sorted" in p
                    for p in hotspots.validate_document(document))
 
+    @pytest.mark.parametrize("wall", [float("nan"), float("inf"), -0.5,
+                                      None])
+    def test_validate_rejects_bad_stage_wall(self, wall):
+        document = make_document()
+        document["stages"][1]["wall_s"] = wall
+        assert any("stage 'mcf'" in p and "'wall_s'" in p
+                   for p in hotspots.validate_document(document))
+
+    def test_validate_rejects_non_finite_duration(self):
+        document = make_document()
+        document["duration_s"] = float("nan")
+        assert any("'duration_s'" in p
+                   for p in hotspots.validate_document(document))
+
     def test_validate_rejects_bad_schema_and_folded(self):
         document = make_document()
         document["schema"] = "flattree.hotspots/999"
@@ -86,7 +110,7 @@ class TestDocument:
         document["duration_s"] = 2.0
         document["environment"]["cpu_ghz"] = float("nan")
         path = tmp_path / "HOTSPOTS_1.json"
-        hotspots.write_document(path, document)
+        write(path, document)
         text = path.read_text(encoding="utf-8")
         assert "NaN" not in text
         decoded = json.loads(text)
@@ -95,8 +119,8 @@ class TestDocument:
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "HOTSPOTS_1.json"
-        hotspots.write_document(path, make_document())
-        loaded = hotspots.load_document(path)
+        write(path, make_document())
+        loaded = load(path)
         assert loaded["samples"] == 10
         assert len(loaded["folded"]) == 2
 
@@ -104,16 +128,16 @@ class TestDocument:
         path = tmp_path / "HOTSPOTS_1.json"
         path.write_text("not json", encoding="utf-8")
         with pytest.raises(ReproError, match="not valid JSON"):
-            hotspots.load_document(path)
+            load(path)
         path.write_text(json.dumps({"schema": "nope"}), encoding="utf-8")
         with pytest.raises(ReproError, match="hotspot schema"):
-            hotspots.load_document(path)
+            load(path)
 
     def test_write_refuses_invalid(self, tmp_path):
         document = make_document()
         document["stages"] = []
         with pytest.raises(ReproError, match="refusing to write"):
-            hotspots.write_document(tmp_path / "HOTSPOTS_1.json", document)
+            write(tmp_path / "HOTSPOTS_1.json", document)
 
     def test_render_mentions_stages_and_functions(self):
         text = hotspots.render_document(make_document())

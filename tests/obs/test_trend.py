@@ -145,6 +145,40 @@ class TestTrajectory:
                    for note in report.environment_drift)
         assert "BENCH_4.json" not in report.sessions
 
+    def test_non_finite_wall_session_is_skipped_so_the_step_gates(
+            self, tmp_path):
+        # A NaN wall used to pass validation and poison the median, so a
+        # 50x step-up on the newest session reported ``ok``.
+        for seq, wall in enumerate((1.0, float("nan"), 1.0, 50.0), start=1):
+            write_bench(tmp_path, seq, {"a.py::x": wall})
+        report = trend.analyze_trajectory(tmp_path)
+        assert report.exit_code == 1
+        assert [m.metric for m in report.regressions] == ["bench:a.py::x"]
+        assert report.regressions[0].median == 1.0
+        assert "BENCH_2.json" not in report.sessions
+        assert any(note.startswith("BENCH_2.json: unreadable")
+                   and "'wall_s'" in note
+                   for note in report.environment_drift)
+
+    def test_hotspot_environment_drift_noted(self, tmp_path):
+        from repro.obs import bench, hotspots
+
+        for seq, numpy in ((1, "2.0"), (2, "2.1")):
+            doc = {"schema": hotspots.SCHEMA, "ts": 1.0, "label": "t",
+                   "k": 8, "hz": 97.0, "duration_s": 2.0, "samples": 0,
+                   "environment": {"python": "3.12.0", "cpu_count": 8,
+                                   "repro": "1.0.0", "numpy": numpy},
+                   "stages": [{"name": "mcf", "span": "campaign/mcf",
+                               "wall_s": 1.0, "samples": 0}],
+                   "functions": [], "folded": []}
+            bench.write_json(tmp_path / f"HOTSPOTS_{seq}.json", doc,
+                             hotspots.validate_document, "hotspot")
+        report = trend.analyze_trajectory(tmp_path)
+        assert report.sessions == ["HOTSPOTS_1.json", "HOTSPOTS_2.json"]
+        assert report.environment_drift == [
+            "HOTSPOTS_1.json -> HOTSPOTS_2.json: numpy changed "
+            "'2.0' -> '2.1'"]
+
     def test_hotspot_stages_become_metrics(self, tmp_path):
         documents = []
         for seq, mcf in enumerate((1.0, 1.1, 0.9, 9.0), start=1):

@@ -128,6 +128,45 @@ class TestFT001Determinism:
             """)
         assert [f.code for f in findings] == ["FT001", "FT001"]
 
+    def test_hash_in_a_seed_fires(self, tmp_path):
+        # The fig7 placement seeding before it moved to zlib.crc32.
+        findings = lint_snippet(tmp_path, "mod.py", """\
+            import random
+
+            def placement_rng(seed, place):
+                return random.Random(seed + hash(place) % 1000)
+            """)
+        assert codes(findings) == ["FT001"]
+        assert "hash()" in findings[0].message
+        assert "PYTHONHASHSEED" in findings[0].message
+
+    def test_hash_in_numpy_seed_method_and_keyword_fires(self, tmp_path):
+        findings = lint_snippet(tmp_path, "mod.py", """\
+            import numpy as np
+
+            def streams(rng, key, run):
+                a = np.random.default_rng(hash(key))
+                b = np.random.SeedSequence((1, hash(key)))
+                rng.seed(hash(key) & 0xFFFF)
+                return a, b, run(seed=hash((key, 1)))
+            """)
+        assert codes(findings) == ["FT001"]
+        assert len(findings) == 4
+        assert all("hash()" in f.message for f in findings)
+
+    def test_stable_digest_seed_and_unrelated_hash_are_clean(self, tmp_path):
+        findings = lint_snippet(tmp_path, "mod.py", """\
+            import random
+            import zlib
+
+            def placement_rng(seed, place):
+                return random.Random(seed + zlib.crc32(place.encode()) % 1000)
+
+            def bucket(key, n):
+                return hash(key) % n
+            """)
+        assert findings == []
+
 
 class TestFT002TelemetryContract:
     def test_unregistered_name_fires_in_library(self, tmp_path):

@@ -1,9 +1,11 @@
-"""Tests for the bench regression gate and perfreport CLI.
+"""Tests for the pairwise bench gate (``perfreport diff``) and its CLI.
 
-The comparator is the thing that keeps BENCH_*.json honest, so it is
-proven here against fixture sessions: a self-compare must pass, an
-injected 10x slowdown must fail with exit code 1, and schema garbage
-must exit 2 — the flatlint exit-code convention.
+The gate is the thing that keeps BENCH_*.json honest, so it is proven
+here against fixture sessions: a self-diff must pass, an injected 10x
+slowdown must fail with exit code 1, and schema garbage must exit 2 —
+the flatlint exit-code convention.  The ``TestCompare*`` classes keep
+the names of the tests of the retired ``compare`` subcommand, whose
+behaviours ``diff`` now carries.
 """
 
 from __future__ import annotations
@@ -12,10 +14,11 @@ import json
 
 import pytest
 
-from tools.perfreport import (
+from repro.obs import diffprof, trend
+from repro.obs.diffprof import (
     DEFAULT_MIN_RUNTIME_S,
     DEFAULT_TOLERANCE,
-    compare_sessions,
+    diff_bench_sessions,
     render_json,
     render_text,
 )
@@ -44,69 +47,86 @@ def make_session(walls, label="bench", **env_overrides):
     }
 
 
+def statuses(diff):
+    return [d.status for d in diff.deltas]
+
+
 class TestCompareSessions:
     def test_self_compare_is_clean(self):
         session = make_session({"a.py::t1": 0.5, "a.py::t2": 1.25})
-        comparison = compare_sessions(session, session)
-        assert comparison.exit_code == 0
-        assert {d.status for d in comparison.deltas} == {"ok"}
-        assert comparison.environment_drift == []
+        diff = diff_bench_sessions(session, session)
+        assert diff.exit_code == 0
+        assert set(statuses(diff)) == {"steady"}
+        assert diff.environment_drift == []
 
     def test_injected_10x_slowdown_is_a_regression(self):
         base = make_session({"a.py::t": 0.5})
         slow = make_session({"a.py::t": 5.0})
-        comparison = compare_sessions(base, slow)
-        assert [d.status for d in comparison.deltas] == ["regression"]
-        assert comparison.deltas[0].ratio == pytest.approx(10.0)
-        assert comparison.exit_code == 1
+        diff = diff_bench_sessions(base, slow)
+        assert statuses(diff) == ["grown"]
+        assert diff.deltas[0].ratio == pytest.approx(10.0)
+        assert diff.exit_code == 1
 
     def test_below_floor_never_judged(self):
         base = make_session({"a.py::t": 0.0001})
         new = make_session({"a.py::t": 0.004})  # 40x, but both < 5 ms
-        comparison = compare_sessions(base, new)
-        assert [d.status for d in comparison.deltas] == ["below-floor"]
-        assert comparison.exit_code == 0
+        diff = diff_bench_sessions(base, new)
+        assert statuses(diff) == ["below-floor"]
+        assert diff.exit_code == 0
 
     def test_floor_applies_only_when_both_sides_are_under(self):
         base = make_session({"a.py::t": 0.001})
         new = make_session({"a.py::t": 0.5})  # new side is well over
-        comparison = compare_sessions(base, new)
-        assert [d.status for d in comparison.deltas] == ["regression"]
+        diff = diff_bench_sessions(base, new)
+        assert statuses(diff) == ["grown"]
+
+    def test_zero_base_above_floor_in_new_is_grown(self):
+        # A bench that took 0 s in BASE and is over the floor in NEW has
+        # grown, however the ratio is undefined.
+        diff = diff_bench_sessions(make_session({"a.py::t": 0.0}),
+                                   make_session({"a.py::t": 0.5}))
+        assert statuses(diff) == ["grown"]
+        assert diff.deltas[0].ratio is None
+        assert diff.exit_code == 1
 
     def test_added_and_removed(self):
         base = make_session({"old.py::t": 0.5})
         new = make_session({"new.py::t": 0.5})
-        statuses = {d.key: d.status
-                    for d in compare_sessions(base, new).deltas}
-        assert statuses == {"new.py::t": "added", "old.py::t": "removed"}
+        judged = {d.path: d.status
+                  for d in diff_bench_sessions(base, new).deltas}
+        assert judged == {"new.py::t": "new", "old.py::t": "gone"}
 
     def test_improvement_does_not_fail_the_gate(self):
-        comparison = compare_sessions(make_session({"a.py::t": 1.0}),
-                                      make_session({"a.py::t": 0.5}))
-        assert [d.status for d in comparison.deltas] == ["improvement"]
-        assert comparison.exit_code == 0
+        diff = diff_bench_sessions(make_session({"a.py::t": 1.0}),
+                                   make_session({"a.py::t": 0.5}))
+        assert statuses(diff) == ["shrunk"]
+        assert diff.exit_code == 0
 
     def test_within_default_tolerance_is_ok(self):
-        comparison = compare_sessions(make_session({"a.py::t": 1.0}),
-                                      make_session({"a.py::t": 1.2}))
-        assert [d.status for d in comparison.deltas] == ["ok"]
+        diff = diff_bench_sessions(make_session({"a.py::t": 1.0}),
+                                   make_session({"a.py::t": 1.2}))
+        assert statuses(diff) == ["steady"]
 
     def test_custom_tolerance_tightens_the_gate(self):
-        comparison = compare_sessions(
+        diff = diff_bench_sessions(
             make_session({"a.py::t": 1.0}), make_session({"a.py::t": 1.2}),
             tolerance=0.10)
-        assert [d.status for d in comparison.deltas] == ["regression"]
+        assert statuses(diff) == ["grown"]
 
     def test_environment_drift_reported(self):
         base = make_session({"a.py::t": 1.0})
         new = make_session({"a.py::t": 1.0}, python="3.12.1", cpu_count=4)
-        drift = "\n".join(compare_sessions(base, new).environment_drift)
+        drift = "\n".join(diff_bench_sessions(base, new).environment_drift)
         assert "python" in drift and "cpu_count" in drift
         assert "3.12.1" in drift
 
     def test_defaults_are_documented_values(self):
         assert DEFAULT_TOLERANCE == 0.25
         assert DEFAULT_MIN_RUNTIME_S == 0.005
+        # One definition of noise: the trend gate's band floors are the
+        # pairwise gate's defaults, not a copy of them.
+        assert trend.DEFAULT_REL_FLOOR is diffprof.DEFAULT_TOLERANCE
+        assert trend.DEFAULT_MIN_RUNTIME_S is diffprof.DEFAULT_MIN_RUNTIME_S
 
 
 class TestRenderers:
@@ -114,23 +134,25 @@ class TestRenderers:
         base = make_session({"a.py::fast": 0.5, "b.py::slow": 0.5})
         new = make_session({"a.py::fast": 0.5, "b.py::slow": 5.0},
                            python="3.12.0")
-        comparison = compare_sessions(base, new)
-        text = render_text(comparison)
+        text = render_text(diff_bench_sessions(base, new))
         lines = text.splitlines()
-        assert "environment drift" in text
+        assert "! environment drift — python changed" in text
         first_status_line = next(l for l in lines if l.startswith(
-            ("regression", "ok")))
-        assert first_status_line.startswith("regression")
-        assert "1 regression(s) across 2 judged bench(es)" in lines[-1]
+            ("grown", "steady")))
+        assert first_status_line.startswith("grown")
+        assert "b.py::slow" in first_status_line
+        assert lines[-1] == "1 grown, 0 shrunk across 2 aligned bench(s)"
 
     def test_json_shape(self):
-        comparison = compare_sessions(make_session({"a.py::t": 0.5}),
-                                      make_session({"a.py::t": 5.0}))
-        document = render_json(comparison)
-        assert document["regressions"] == 1
+        diff = diff_bench_sessions(make_session({"a.py::t": 0.5}),
+                                   make_session({"a.py::t": 5.0},
+                                                cpu_count=4))
+        document = render_json(diff)
+        assert document["grown"] == 1
         (delta,) = document["deltas"]
-        assert delta["status"] == "regression"
+        assert delta["status"] == "grown"
         assert delta["ratio"] == pytest.approx(10.0)
+        assert document["environment_drift"] == ["cpu_count changed 8 -> 4"]
         json.dumps(document)  # must be JSON-serializable as-is
 
 
@@ -144,41 +166,64 @@ class TestCompareCli:
     def test_self_compare_exits_zero(self, tmp_path, capsys):
         path = write_session(tmp_path, "BENCH_1.json",
                              make_session({"a.py::t": 0.5}))
-        assert main(["compare", path, path]) == 0
-        assert "0 regression(s)" in capsys.readouterr().out
+        assert main(["diff", path, path]) == 0
+        assert "0 grown, 0 shrunk" in capsys.readouterr().out
 
     def test_regression_exits_one(self, tmp_path, capsys):
         base = write_session(tmp_path, "BENCH_1.json",
                              make_session({"a.py::t": 0.5}))
         slow = write_session(tmp_path, "BENCH_2.json",
                              make_session({"a.py::t": 5.0}))
-        assert main(["compare", base, slow]) == 1
-        assert "regression" in capsys.readouterr().out
+        assert main(["diff", base, slow]) == 1
+        assert "1 grown" in capsys.readouterr().out
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         path = write_session(tmp_path, "BENCH_1.json",
                              make_session({"a.py::t": 0.5}))
-        assert main(["compare", str(tmp_path / "nope.json"), path]) == 2
+        assert main(["diff", str(tmp_path / "nope.json"), path]) == 2
         assert "perfreport:" in capsys.readouterr().err
 
     def test_schema_violation_exits_two(self, tmp_path, capsys):
         good = write_session(tmp_path, "BENCH_1.json",
                              make_session({"a.py::t": 0.5}))
         bad = tmp_path / "BENCH_bad.json"
+        bad.write_text('{"schema": 99, "benchmarks": {}}\n', encoding="utf-8")
+        assert main(["diff", good, str(bad)]) == 2
+        assert "fails the bench schema" in capsys.readouterr().err
         bad.write_text('{"schema": 99}\n', encoding="utf-8")
-        assert main(["compare", good, str(bad)]) == 2
-        assert "schema" in capsys.readouterr().err
+        assert main(["diff", good, str(bad)]) == 2
+        assert "perfreport:" in capsys.readouterr().err
+
+    def test_environment_drift_printed_above_the_verdict(self, tmp_path,
+                                                          capsys):
+        base = write_session(tmp_path, "BENCH_1.json",
+                             make_session({"a.py::t": 0.5}))
+        new = write_session(tmp_path, "BENCH_2.json",
+                            make_session({"a.py::t": 0.5}, numpy="2.1"))
+        assert main(["diff", base, new]) == 0
+        out = capsys.readouterr().out
+        assert "! environment drift — numpy changed None -> '2.1'" in out
 
     def test_json_format_parses(self, tmp_path, capsys):
         path = write_session(tmp_path, "BENCH_1.json",
                              make_session({"a.py::t": 0.5}))
-        assert main(["compare", path, path, "--format", "json"]) == 0
+        assert main(["diff", path, path, "--format", "json"]) == 0
         document = json.loads(capsys.readouterr().out)
-        assert document["regressions"] == 0
+        assert document["grown"] == 0
+        assert document["environment_drift"] == []
 
     def test_no_subcommand_exits_two(self, capsys):
         assert main([]) == 2
-        assert "compare" in capsys.readouterr().out
+        assert "diff" in capsys.readouterr().out
+
+    def test_retired_compare_subcommand_is_a_usage_error(self, tmp_path,
+                                                        capsys):
+        path = write_session(tmp_path, "BENCH_1.json",
+                             make_session({"a.py::t": 0.5}))
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", path, path])
+        assert exc.value.code == 2
+        assert "invalid choice: 'compare'" in capsys.readouterr().err
 
 
 def write_trace(tmp_path):
@@ -244,28 +289,28 @@ class TestCompareAutoSelect:
                       make_session({"a.py::t": 0.5}))
         write_session(tmp_path, "BENCH_smoke.json",
                       make_session({"a.py::t": 99.0}))
-        assert main(["compare", "--root", str(tmp_path)]) == 0
+        assert main(["diff", "--root", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "auto-selected BENCH_2.json (base) vs BENCH_10.json" in out
-        assert "0 regression(s)" in out
+        assert "0 grown, 0 shrunk" in out
 
     def test_fewer_than_two_sessions_exits_zero_with_message(
             self, tmp_path, capsys):
         write_session(tmp_path, "BENCH_1.json",
                       make_session({"a.py::t": 0.5}))
-        assert main(["compare", "--root", str(tmp_path)]) == 0
+        assert main(["diff", "--root", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "found 1 BENCH_<seq>.json" in out
         assert "flattree bench" in out
 
     def test_empty_root_exits_zero(self, tmp_path, capsys):
-        assert main(["compare", "--root", str(tmp_path)]) == 0
+        assert main(["diff", "--root", str(tmp_path)]) == 0
         assert "found 0" in capsys.readouterr().out
 
     def test_single_positional_is_a_usage_error(self, tmp_path, capsys):
         path = write_session(tmp_path, "BENCH_1.json",
                              make_session({"a.py::t": 0.5}))
-        assert main(["compare", path]) == 2
+        assert main(["diff", path]) == 2
         assert "both BASE and NEW" in capsys.readouterr().err
 
     def test_auto_selected_regression_still_gates(self, tmp_path, capsys):
@@ -273,12 +318,12 @@ class TestCompareAutoSelect:
                       make_session({"a.py::t": 0.5}))
         write_session(tmp_path, "BENCH_2.json",
                       make_session({"a.py::t": 5.0}))
-        assert main(["compare", "--root", str(tmp_path)]) == 1
-        assert "regression" in capsys.readouterr().out
+        assert main(["diff", "--root", str(tmp_path)]) == 1
+        assert "1 grown" in capsys.readouterr().out
 
 
 def write_hotspots(tmp_path):
-    from repro.obs import hotspots
+    from repro.obs import bench, hotspots
     from repro.obs.sampler import SampleProfile
 
     counts = {
@@ -294,7 +339,7 @@ def write_hotspots(tmp_path):
     ]
     document = hotspots.build_document(profile, stages, k=8, label="test")
     path = tmp_path / "HOTSPOTS_1.json"
-    hotspots.write_document(path, document)
+    bench.write_json(path, document, hotspots.validate_document, "hotspot")
     return str(path)
 
 
@@ -333,11 +378,11 @@ class TestAutoSelectNotices:
                                                       capsys):
         write_session(tmp_path, "BENCH_7.json",
                       make_session({"a.py::t": 0.5}))
-        assert main(["compare", "--root", str(tmp_path)]) == 0
+        assert main(["diff", "--root", str(tmp_path)]) == 0
         assert "existing: BENCH_7.json" in capsys.readouterr().out
 
     def test_empty_root_message_says_none(self, tmp_path, capsys):
-        assert main(["compare", "--root", str(tmp_path)]) == 0
+        assert main(["diff", "--root", str(tmp_path)]) == 0
         assert "existing: none" in capsys.readouterr().out
 
     def test_gapped_sequence_is_flagged_with_ids(self, tmp_path, capsys):
@@ -347,7 +392,7 @@ class TestAutoSelectNotices:
                       make_session({"a.py::t": 0.5}))
         write_session(tmp_path, "BENCH_5.json",
                       make_session({"a.py::t": 0.5}))
-        assert main(["compare", "--root", str(tmp_path)]) == 0
+        assert main(["diff", "--root", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "auto-selected BENCH_2.json (base) vs BENCH_5.json" in out
         assert "missing seq 3, 4" in out
@@ -358,7 +403,7 @@ class TestAutoSelectNotices:
                       make_session({"a.py::t": 0.5}))
         write_session(tmp_path, "BENCH_2.json",
                       make_session({"a.py::t": 0.5}))
-        assert main(["compare", "--root", str(tmp_path)]) == 0
+        assert main(["diff", "--root", str(tmp_path)]) == 0
         assert "missing seq" not in capsys.readouterr().out
 
 

@@ -14,7 +14,12 @@ that property and are flagged here:
   clock (telemetry timestamps in ``repro.obs`` are exempt by scope);
 * **ordered consumption of unordered sets** — iterating a bare
   ``set(...)`` (or set union/intersection) into a list, loop, join or
-  RNG choice leaks ``PYTHONHASHSEED``-dependent ordering into output.
+  RNG choice leaks ``PYTHONHASHSEED``-dependent ordering into output;
+* **builtin ``hash()`` in a seed** — ``hash`` of a str, bytes or tuple
+  changes with ``PYTHONHASHSEED``, so ``random.Random(seed + hash(x))``,
+  ``numpy.random.default_rng(hash(x))``, ``rng.seed(hash(x))`` or
+  ``seed=hash(x)`` give every process a different stream; derive the
+  seed with a stable digest such as ``zlib.crc32`` instead.
 """
 
 from __future__ import annotations
@@ -46,6 +51,10 @@ _WALL_CLOCK_SCOPES = ("repro.chaos", "repro.flowsim", "repro.experiments")
 #: ``x.choice(set(...))``-style consumers whose result order matters.
 _ORDER_SENSITIVE_METHODS = {"choice", "choices", "sample", "shuffle", "join"}
 
+#: Calls whose positional arguments are a seed (resolved names).
+_SEED_SINKS = {"random.Random", "numpy.random.default_rng",
+               "numpy.random.RandomState", "numpy.random.SeedSequence"}
+
 
 def _is_setish(node: ast.AST) -> bool:
     if isinstance(node, ast.Set):
@@ -70,7 +79,8 @@ class DeterminismRule(Rule):
     code = "FT001"
     name = "determinism"
     summary = ("unseeded global RNG, wall-clock reads in simulation "
-               "code, and order-sensitive iteration over bare sets")
+               "code, order-sensitive iteration over bare sets, and "
+               "builtin hash() in a seed")
 
     def check_file(self, f: SourceFile) -> Iterator[Finding]:
         imports = ImportMap.of(f.tree)
@@ -101,6 +111,7 @@ class DeterminismRule(Rule):
                     "clock (or an injected time source), never the host",
                 )
         yield from self._check_set_consumers(f, node)
+        yield from self._check_hash_seed(f, node, resolved, imports)
 
     def _check_global_rng(self, f: SourceFile, node: ast.Call,
                           resolved: str) -> Iterator[Finding]:
@@ -151,3 +162,24 @@ class DeterminismRule(Rule):
                     "its result depends on PYTHONHASHSEED; pass "
                     "sorted(...) instead",
                 )
+
+    def _check_hash_seed(self, f: SourceFile, node: ast.Call,
+                         resolved: Optional[str],
+                         imports: ImportMap) -> Iterator[Finding]:
+        seeds = [kw.value for kw in node.keywords if kw.arg == "seed"]
+        if resolved in _SEED_SINKS or (
+                isinstance(node.func, ast.Attribute)
+                and node.func.attr == "seed"):
+            seeds += node.args
+        for seed in seeds:
+            for inner in ast.walk(seed):
+                if (isinstance(inner, ast.Call)
+                        and isinstance(inner.func, ast.Name)
+                        and inner.func.id == "hash"
+                        and "hash" not in imports.members):
+                    yield f.finding(
+                        inner, self.code,
+                        "builtin hash() in a seed — str/bytes/tuple hashes "
+                        "change with PYTHONHASHSEED, so the stream differs "
+                        "per process; use a stable digest (zlib.crc32)",
+                    )

@@ -1,10 +1,20 @@
-"""CLI: ``python -m tools.perfreport <compare|profile|flamegraph|hotspots>``.
+"""CLI: ``python -m tools.perfreport <diff|trend|profile|flamegraph|hotspots>``.
 
-* ``compare [BASE NEW]`` — the bench regression gate over two
-  ``BENCH_*.json`` sessions; with no paths it auto-selects the two
-  newest numbered repo-root sessions (exit 0 with a message when fewer
-  than two exist).  Exit 0 clean, 1 regressions, 2 usage errors — the
-  same convention as ``tools.flatlint``.
+* ``diff [BASE NEW]`` — the pairwise perf gate: attribute the
+  wall-time delta between two recordings per bench / span path /
+  function (``repro.obs.diffprof``); inputs may be ``BENCH_*.json``
+  sessions, ``HOTSPOTS_*.json`` campaigns, or telemetry JSONL traces
+  (kinds auto-detected, must match), and environment drift between the
+  two fingerprints is reported.  With no paths it auto-selects the two
+  newest numbered repo-root ``BENCH_<seq>.json`` sessions (exit 0 with
+  a message when fewer than two exist).  ``--folded`` writes a
+  differential folded-stack file (``stack base_us new_us``) for
+  red/blue flame graphs.  Exit 0 clean, 1 when any path grew beyond
+  tolerance, 2 usage errors — the same convention as ``tools.flatlint``.
+* ``trend`` — trajectory-aware regression analytics over every
+  numbered ``BENCH_*.json`` / ``HOTSPOTS_*.json`` session
+  (``repro.obs.trend``): MAD noise bands over the trailing window,
+  step-change detection on the newest point.  Exit 1 on a step-up.
 * ``profile RUN.jsonl`` — reconstruct the span tree of a
   ``--telemetry=RUN.jsonl`` session and print per-name cumulative /
   self time plus the critical path.
@@ -14,17 +24,6 @@
   artifact (``flattree hotspots``): stage wall/sample table, top
   functions by self time with their span context, and ``--folded``
   re-export of the captured stacks.
-* ``diff [BASE NEW]`` — attribute the wall-time delta between two
-  recordings per span path / function (``repro.obs.diffprof``); inputs
-  may be telemetry JSONL traces, ``HOTSPOTS_*.json`` campaigns, or
-  ``BENCH_*.json`` sessions (kinds auto-detected, must match).
-  ``--folded`` writes a differential folded-stack file (``stack
-  base_us new_us``) for red/blue flame graphs.  Exit 1 when any path
-  grew beyond tolerance.
-* ``trend`` — trajectory-aware regression analytics over every
-  numbered ``BENCH_*.json`` / ``HOTSPOTS_*.json`` session
-  (``repro.obs.trend``): MAD noise bands over the trailing window,
-  step-change detection on the newest point.  Exit 1 on a step-up.
 """
 
 from __future__ import annotations
@@ -35,30 +34,12 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from . import (
-    DEFAULT_MIN_RUNTIME_S,
-    DEFAULT_TOLERANCE,
-    __version__,
-    compare_sessions,
-    load_session,
-    render_json,
-    render_text,
-)
+from repro.errors import ReproError
+from repro.obs import bench, diffprof, trend
+from repro.obs import hotspots as hotspot_docs
+from repro.obs.perf import Profile
 
-try:
-    from repro.errors import ReproError
-    from repro.obs.perf import Profile
-except ImportError:  # standalone checkout (no installed package)
-    sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
-    from repro.errors import ReproError
-    from repro.obs.perf import Profile
-
-from repro.obs import trend as trend_defaults  # noqa: E402 - after path fix
-
-
-def _session_seq(path: Path) -> int:
-    digits = "".join(ch for ch in path.stem if ch.isdigit())
-    return int(digits) if digits else 0
+from . import __version__
 
 
 def _auto_select(root: Path) -> Optional[tuple]:
@@ -69,9 +50,7 @@ def _auto_select(root: Path) -> Optional[tuple]:
     was deleted or recorded elsewhere, which changes what "newest two"
     compares.  Returns ``None`` when fewer than two sessions exist.
     """
-    from repro.obs import bench as bench_sessions
-
-    sessions = bench_sessions.bench_paths(root)
+    sessions = bench.numbered_paths(root, "BENCH")
     if len(sessions) < 2:
         names = ", ".join(p.name for p in sessions) or "none"
         print(f"perfreport: found {len(sessions)} BENCH_<seq>.json "
@@ -81,7 +60,7 @@ def _auto_select(root: Path) -> Optional[tuple]:
     base_path, new_path = sessions[-2], sessions[-1]
     notice = (f"perfreport: auto-selected {base_path.name} (base) "
               f"vs {new_path.name} (new)")
-    seqs = [_session_seq(p) for p in sessions]
+    seqs = [bench.seq_of(p) for p in sessions]
     missing = sorted(set(range(min(seqs), max(seqs) + 1)) - set(seqs))
     if missing:
         gaps = ", ".join(str(n) for n in missing)
@@ -90,40 +69,6 @@ def _auto_select(root: Path) -> Optional[tuple]:
                    + ", ".join(p.name for p in sessions))
     print(notice)
     return base_path, new_path
-
-
-def _cmd_compare(args: argparse.Namespace) -> int:
-    base_path, new_path = args.base, args.new
-    if (base_path is None) != (new_path is None):
-        print("perfreport: pass both BASE and NEW, or neither "
-              "(auto-selects the two newest BENCH_<seq>.json)",
-              file=sys.stderr)
-        return 2
-    if base_path is None:
-        from repro.obs import bench as bench_sessions
-
-        root = Path(args.root) if args.root else bench_sessions.repo_root()
-        selected = _auto_select(root)
-        if selected is None:
-            return 0
-        base_path, new_path = str(selected[0]), str(selected[1])
-    try:
-        base = load_session(Path(base_path))
-        new = load_session(Path(new_path))
-    except ReproError as exc:
-        print(f"perfreport: {exc}", file=sys.stderr)
-        return 2
-    comparison = compare_sessions(
-        base, new,
-        tolerance=args.tolerance,
-        min_runtime_s=args.min_runtime,
-        base_label=base_path, new_label=new_path,
-    )
-    if args.format == "json":
-        print(json.dumps(render_json(comparison), indent=1, sort_keys=True))
-    else:
-        print(render_text(comparison))
-    return comparison.exit_code
 
 
 def _load_profile(path: str) -> Optional[Profile]:
@@ -180,10 +125,9 @@ def _cmd_flamegraph(args: argparse.Namespace) -> int:
 
 
 def _cmd_hotspots(args: argparse.Namespace) -> int:
-    from repro.obs import hotspots as hotspot_docs
-
     try:
-        document = hotspot_docs.load_document(Path(args.artifact))
+        document = bench.load_json(Path(args.artifact),
+                                   hotspot_docs.validate_document, "hotspot")
     except ReproError as exc:
         print(f"perfreport: {exc}", file=sys.stderr)
         return 2
@@ -206,9 +150,6 @@ def _load_recording(path: str) -> Optional[tuple]:
     ``.jsonl`` files are telemetry traces; JSON documents are sniffed
     by schema — ``flattree.hotspots/1`` campaigns vs bench sessions.
     """
-    from repro.obs import bench as bench_sessions
-    from repro.obs import hotspots as hotspot_docs
-
     if path.endswith(".jsonl"):
         profile = _load_profile(path)
         return ("trace", profile) if profile is not None else None
@@ -222,9 +163,11 @@ def _load_recording(path: str) -> Optional[tuple]:
         return None
     try:
         if raw.get("schema") == hotspot_docs.SCHEMA:
-            return "hotspots", hotspot_docs.load_document(Path(path))
+            return "hotspots", bench.load_json(
+                Path(path), hotspot_docs.validate_document, "hotspot")
         if "benchmarks" in raw:
-            return "bench", bench_sessions.load_session(Path(path))
+            return "bench", bench.load_json(
+                Path(path), bench.validate_session, "bench")
     except ReproError as exc:
         print(f"perfreport: {exc}", file=sys.stderr)
         return None
@@ -235,8 +178,6 @@ def _load_recording(path: str) -> Optional[tuple]:
 
 
 def _diff_folded(kind: str, base: object, new: object) -> List[str]:
-    from repro.obs import diffprof
-
     if kind == "trace":
         return diffprof.subtract_folded(
             diffprof.parse_folded(base.folded()),
@@ -248,9 +189,6 @@ def _diff_folded(kind: str, base: object, new: object) -> List[str]:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    from repro.obs import bench as bench_sessions
-    from repro.obs import diffprof
-
     base_path, new_path = args.base, args.new
     if (base_path is None) != (new_path is None):
         print("perfreport: pass both BASE and NEW, or neither "
@@ -258,7 +196,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     if base_path is None:
-        root = Path(args.root) if args.root else bench_sessions.repo_root()
+        root = Path(args.root) if args.root else bench.repo_root()
         selected = _auto_select(root)
         if selected is None:
             return 0
@@ -304,26 +242,23 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_trend(args: argparse.Namespace) -> int:
-    from repro.obs import bench as bench_sessions
-    from repro.obs import trend as trend_engine
-
-    root = Path(args.root) if args.root else bench_sessions.repo_root()
-    report = trend_engine.analyze_trajectory(
+    root = Path(args.root) if args.root else bench.repo_root()
+    report = trend.analyze_trajectory(
         root, window=args.window, sigmas=args.sigmas,
         rel_floor=args.rel_floor, min_runtime_s=args.min_runtime)
     if args.out:
         Path(args.out).write_text(
-            json.dumps(trend_engine.render_json(report), indent=1,
+            json.dumps(trend.render_json(report), indent=1,
                        sort_keys=True) + "\n", encoding="utf-8")
         print(f"perfreport: wrote trend report to {args.out}")
     if args.format == "json":
-        print(json.dumps(trend_engine.render_json(report), indent=1,
+        print(json.dumps(trend.render_json(report), indent=1,
                          sort_keys=True))
     elif args.format == "markdown":
-        print(trend_engine.render_markdown(report, top=args.top))
+        print(trend.render_markdown(report, top=args.top))
     else:
-        print(trend_engine.render_text(report, top=args.top))
-    trend_engine.emit_trend_event(report)
+        print(trend.render_text(report, top=args.top))
+    trend.emit_trend_event(report)
     return report.exit_code
 
 
@@ -336,31 +271,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--version", action="version", version=f"perfreport {__version__}")
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser(
-        "compare", help="judge NEW against BASE (both BENCH_*.json); "
-                        "with no paths, the two newest numbered sessions")
-    p.add_argument("base", nargs="?", default=None,
-                   help="baseline BENCH_*.json (default: second-newest "
-                        "repo-root session)")
-    p.add_argument("new", nargs="?", default=None,
-                   help="candidate BENCH_*.json (default: newest "
-                        "repo-root session)")
-    p.add_argument("--root", default=None, metavar="DIR",
-                   help="directory searched for BENCH_<seq>.json when "
-                        "auto-selecting (default: the repo root)")
-    p.add_argument(
-        "--tolerance", type=float, default=DEFAULT_TOLERANCE,
-        metavar="FRAC",
-        help="relative slowdown tolerated before a bench regresses "
-             f"(default {DEFAULT_TOLERANCE})")
-    p.add_argument(
-        "--min-runtime", type=float, default=DEFAULT_MIN_RUNTIME_S,
-        metavar="SECONDS",
-        help="benches under this on both sides are noise, never judged "
-             f"(default {DEFAULT_MIN_RUNTIME_S})")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(handler=_cmd_compare)
 
     p = sub.add_parser(
         "profile", help="span-tree profile of a telemetry JSONL trace")
@@ -392,10 +302,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.set_defaults(handler=_cmd_hotspots)
 
     p = sub.add_parser(
-        "diff", help="attribute the wall-time delta between two "
-                     "recordings (traces, HOTSPOTS_*.json, or "
-                     "BENCH_*.json); with no paths, the two newest "
-                     "numbered bench sessions")
+        "diff", help="the pairwise gate: judge and attribute the "
+                     "wall-time delta between two recordings "
+                     "(BENCH_*.json, HOTSPOTS_*.json, or traces); with "
+                     "no paths, the two newest numbered bench sessions")
     p.add_argument("base", nargs="?", default=None,
                    help="baseline recording (default: second-newest "
                         "repo-root BENCH_<seq>.json)")
@@ -406,14 +316,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                    help="directory searched for BENCH_<seq>.json when "
                         "auto-selecting (default: the repo root)")
     p.add_argument(
-        "--tolerance", type=float, default=DEFAULT_TOLERANCE, metavar="FRAC",
+        "--tolerance", type=float, default=diffprof.DEFAULT_TOLERANCE,
+        metavar="FRAC",
         help="relative growth tolerated before a path counts as grown "
-             f"(default {DEFAULT_TOLERANCE})")
+             f"(default {diffprof.DEFAULT_TOLERANCE})")
     p.add_argument(
-        "--min-runtime", type=float, default=DEFAULT_MIN_RUNTIME_S,
+        "--min-runtime", type=float, default=diffprof.DEFAULT_MIN_RUNTIME_S,
         metavar="SECONDS",
         help="paths under this on both sides are below-floor, never "
-             f"judged (default {DEFAULT_MIN_RUNTIME_S})")
+             f"judged (default {diffprof.DEFAULT_MIN_RUNTIME_S})")
     p.add_argument("--folded", default=None, metavar="PATH",
                    help="write differential folded stacks (stack "
                         "base_us new_us) for red/blue flame graphs; "
@@ -429,22 +340,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--root", default=None, metavar="DIR",
                    help="directory scanned for numbered sessions "
                         "(default: the repo root)")
-    p.add_argument("--window", type=int, default=trend_defaults.DEFAULT_WINDOW,
+    p.add_argument("--window", type=int, default=trend.DEFAULT_WINDOW,
                    help="trailing sessions the noise model is fitted to "
-                        f"(default {trend_defaults.DEFAULT_WINDOW})")
-    p.add_argument("--sigmas", type=float, default=trend_defaults.DEFAULT_SIGMAS,
+                        f"(default {trend.DEFAULT_WINDOW})")
+    p.add_argument("--sigmas", type=float, default=trend.DEFAULT_SIGMAS,
                    help="band half-width in robust (MAD-derived) sigmas "
-                        f"(default {trend_defaults.DEFAULT_SIGMAS})")
+                        f"(default {trend.DEFAULT_SIGMAS})")
     p.add_argument(
-        "--rel-floor", type=float, default=trend_defaults.DEFAULT_REL_FLOOR,
+        "--rel-floor", type=float, default=trend.DEFAULT_REL_FLOOR,
         metavar="FRAC",
         help="relative band floor so near-constant series keep a "
-             f"tolerance (default {trend_defaults.DEFAULT_REL_FLOOR})")
+             f"tolerance (default {trend.DEFAULT_REL_FLOOR})")
     p.add_argument(
-        "--min-runtime", type=float, default=trend_defaults.DEFAULT_MIN_RUNTIME_S,
+        "--min-runtime", type=float, default=trend.DEFAULT_MIN_RUNTIME_S,
         metavar="SECONDS",
         help="absolute band floor; sub-floor metrics are never judged "
-             f"(default {trend_defaults.DEFAULT_MIN_RUNTIME_S})")
+             f"(default {trend.DEFAULT_MIN_RUNTIME_S})")
     p.add_argument("--top", type=int, default=40,
                    help="rows in the metric table (default 40)")
     p.add_argument("--out", default=None, metavar="PATH",
