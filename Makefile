@@ -148,11 +148,14 @@ hotspots-smoke:
 # short run of each workload whose every op is checked against the
 # recorded reference (plantbench/reference.json): fct-poisson FCTs,
 # mcf-bracket exact λ, convert-route routes.  Any wrong op exits non-zero.
+# Last, the FPTAS λ (repr) and counters of the 14 seed-0 mcf-bracket
+# instances: diff them across a solver change to see it stay bit-identical.
 plant-smoke:
 	$(PYTHON) -m pytest plantbench -q
 	$(PYTHON) plantbench/run.py --workload fct-poisson --seed 0 --seconds 2 --trace 0
 	$(PYTHON) plantbench/run.py --workload mcf-bracket --seed 0 --seconds 2 --trace 0
 	$(PYTHON) plantbench/run.py --workload convert-route --seed 0 --seconds 2 --trace 0
+	$(PYTHON) tools/fptas_lambdas.py --seeds 0
 
 figures:
 	$(PYTHON) -m repro.cli fig5
@@ -170,4 +173,5 @@ clean:
 	rm -f HEALTH_REPORT.json HEALTH_REPORT.prom health-smoke*.jsonl health-smoke-*.json
 	rm -f HOTSPOTS_smoke.json hotspots-smoke.folded
 	rm -f HEAL_LEDGER.json heal-smoke*.jsonl heal-smoke-b.json
+	rm -f benchmarks/METRICS.json benchmarks/RESULTS.txt
 	find . -name __pycache__ -type d -exec rm -rf {} +

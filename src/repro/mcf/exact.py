@@ -37,13 +37,17 @@ from repro.mcf.commodities import FlowProblem
 class MCFResult:
     """Outcome of a concurrent-flow solve.
 
-    ``throughput`` is the optimal ``λ`` (rate per unit demand).
-    ``flows`` (optional) has shape ``(num_groups, num_arcs)``.
+    ``throughput`` is the optimal ``λ`` (rate per unit demand), or for
+    an approximation a feasible ``λ`` at most the optimum.  ``upper``
+    is an approximation's certified bound at least the optimum
+    (``None`` from the exact LP).  ``flows`` (optional) has shape
+    ``(num_groups, num_arcs)``.
     """
 
     throughput: float
     method: str
     flows: Optional[np.ndarray] = None
+    upper: Optional[float] = None
 
     def utilization(self, problem: FlowProblem) -> np.ndarray:
         """Per-arc utilization of the solution (requires flows)."""

@@ -290,22 +290,36 @@ class TestCompareAutoSelect:
         write_session(tmp_path, "BENCH_smoke.json",
                       make_session({"a.py::t": 99.0}))
         assert main(["diff", "--root", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "auto-selected BENCH_2.json (base) vs BENCH_10.json" in out
-        assert "0 grown, 0 shrunk" in out
+        captured = capsys.readouterr()
+        assert ("auto-selected BENCH_2.json (base) vs BENCH_10.json"
+                in captured.err)
+        assert "0 grown, 0 shrunk" in captured.out
 
     def test_fewer_than_two_sessions_exits_zero_with_message(
             self, tmp_path, capsys):
         write_session(tmp_path, "BENCH_1.json",
                       make_session({"a.py::t": 0.5}))
         assert main(["diff", "--root", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "found 1 BENCH_<seq>.json" in out
-        assert "flattree bench" in out
+        err = capsys.readouterr().err
+        assert "found 1 BENCH_<seq>.json" in err
+        assert "flattree bench" in err
 
     def test_empty_root_exits_zero(self, tmp_path, capsys):
         assert main(["diff", "--root", str(tmp_path)]) == 0
-        assert "found 0" in capsys.readouterr().out
+        assert "found 0" in capsys.readouterr().err
+
+    def test_auto_selected_json_is_clean_stdout(self, tmp_path, capsys):
+        write_session(tmp_path, "BENCH_1.json",
+                      make_session({"a.py::t": 0.5}))
+        write_session(tmp_path, "BENCH_2.json",
+                      make_session({"a.py::t": 0.5}))
+        assert main(["diff", "--root", str(tmp_path),
+                     "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        document = json.loads(captured.out)
+        assert document["grown"] == 0
+        assert ("perfreport: auto-selected BENCH_1.json (base) vs "
+                "BENCH_2.json (new)" in captured.err)
 
     def test_single_positional_is_a_usage_error(self, tmp_path, capsys):
         path = write_session(tmp_path, "BENCH_1.json",
@@ -379,11 +393,11 @@ class TestAutoSelectNotices:
         write_session(tmp_path, "BENCH_7.json",
                       make_session({"a.py::t": 0.5}))
         assert main(["diff", "--root", str(tmp_path)]) == 0
-        assert "existing: BENCH_7.json" in capsys.readouterr().out
+        assert "existing: BENCH_7.json" in capsys.readouterr().err
 
     def test_empty_root_message_says_none(self, tmp_path, capsys):
         assert main(["diff", "--root", str(tmp_path)]) == 0
-        assert "existing: none" in capsys.readouterr().out
+        assert "existing: none" in capsys.readouterr().err
 
     def test_gapped_sequence_is_flagged_with_ids(self, tmp_path, capsys):
         write_session(tmp_path, "BENCH_1.json",
@@ -393,10 +407,10 @@ class TestAutoSelectNotices:
         write_session(tmp_path, "BENCH_5.json",
                       make_session({"a.py::t": 0.5}))
         assert main(["diff", "--root", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "auto-selected BENCH_2.json (base) vs BENCH_5.json" in out
-        assert "missing seq 3, 4" in out
-        assert "BENCH_1.json, BENCH_2.json, BENCH_5.json" in out
+        err = capsys.readouterr().err
+        assert "auto-selected BENCH_2.json (base) vs BENCH_5.json" in err
+        assert "missing seq 3, 4" in err
+        assert "BENCH_1.json, BENCH_2.json, BENCH_5.json" in err
 
     def test_contiguous_sequence_has_no_gap_note(self, tmp_path, capsys):
         write_session(tmp_path, "BENCH_1.json",
@@ -462,8 +476,8 @@ class TestDiffCli:
         write_session(tmp_path, "BENCH_2.json",
                       make_session({"a.py::t": 5.0}))
         assert main(["diff", "--root", str(tmp_path)]) == 1
-        out = capsys.readouterr().out
-        assert "auto-selected BENCH_1.json (base) vs BENCH_2.json" in out
+        err = capsys.readouterr().err
+        assert "auto-selected BENCH_1.json (base) vs BENCH_2.json" in err
 
     def test_json_format_parses(self, tmp_path, capsys):
         base = write_session(tmp_path, "BENCH_1.json",

@@ -48,14 +48,17 @@ def _auto_select(root: Path) -> Optional[tuple]:
     Prints which sessions exist (single / none) or were picked, and
     flags sequence gaps — a gapped trajectory usually means a session
     was deleted or recorded elsewhere, which changes what "newest two"
-    compares.  Returns ``None`` when fewer than two sessions exist.
+    compares.  The notices go to stderr, so stdout carries only the
+    report and ``--format json`` output parses.  Returns ``None`` when
+    fewer than two sessions exist.
     """
     sessions = bench.numbered_paths(root, "BENCH")
     if len(sessions) < 2:
         names = ", ".join(p.name for p in sessions) or "none"
         print(f"perfreport: found {len(sessions)} BENCH_<seq>.json "
               f"session(s) under {root} — need two to compare; "
-              f"record more with flattree bench (existing: {names})")
+              f"record more with flattree bench (existing: {names})",
+              file=sys.stderr)
         return None
     base_path, new_path = sessions[-2], sessions[-1]
     notice = (f"perfreport: auto-selected {base_path.name} (base) "
@@ -67,7 +70,7 @@ def _auto_select(root: Path) -> Optional[tuple]:
         notice += (f" — sequence has gaps (missing seq {gaps}) across "
                    f"{len(sessions)} session(s): "
                    + ", ".join(p.name for p in sessions))
-    print(notice)
+    print(notice, file=sys.stderr)
     return base_path, new_path
 
 
